@@ -20,6 +20,9 @@ from .wavio import read_wav
 #: Generated sources are peak-normalized to this amplitude.
 PEAK_AMPLITUDE = 0.9
 
+# The 16-bit mono WAV header stores the byte rate, 2 x sample rate, as a u32.
+_MAX_SAMPLE_RATE = (2**32 - 1) // 2
+
 
 @dataclass(frozen=True)
 class SourceKind:
@@ -78,8 +81,10 @@ class MixSpec:
     def __post_init__(self) -> None:
         if self.num_sources < 2:
             raise InvalidInputError(f"num_sources must be >= 2, got {self.num_sources}")
-        if self.sample_rate < 1:
-            raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 1 <= self.sample_rate <= _MAX_SAMPLE_RATE:
+            raise InvalidInputError(
+                f"sample_rate must be in 1..{_MAX_SAMPLE_RATE} Hz, got {self.sample_rate}"
+            )
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive, got {self.duration}")
         low, high = (float(self.snr_range[0]), float(self.snr_range[1]))

@@ -121,6 +121,18 @@ class TestMix:
         bound = (np.abs(manifest["gains"]).sum() + 1.0) / 32768.0
         assert np.abs(rebuilt - mixture.samples).max() <= bound
 
+    def test_sample_rate_beyond_wav_header_exit_2(self, capsys, tmp_path):
+        # 2 x rate is the WAV byte rate, a u32 field: 3 GHz used to crash write_wav.
+        out_dir = tmp_path / "fast"
+        code, out, err = run(
+            capsys,
+            ["mix", "--num-sources", 2, "--sample-rate", 3000000000, "--duration", 1e-9,
+             "--out-dir", out_dir],
+        )
+        assert code == 2 and out == ""
+        assert "sample_rate" in err
+        assert not out_dir.exists()
+
 
 class TestEvaluate:
     @pytest.fixture

@@ -1,0 +1,31 @@
+"""Smoke test: the quick demos run to completion against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# 04_benchmark_sweep.py is left out: it takes about 30 s.
+QUICK_DEMOS = [
+    "01_assignment_solvers.py",
+    "02_separation_metrics.py",
+    "03_mixtures_and_wav.py",
+    "05_confusion_export.py",
+]
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

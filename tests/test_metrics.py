@@ -20,6 +20,8 @@ from sepmatch import (
     solve_hungarian,
 )
 
+from sepmatch import metrics
+
 from conftest import sine, toy_instance
 
 
@@ -257,3 +259,89 @@ class TestDomainTypes:
         with pytest.raises(InvalidInputError, match="sample rate"):
             SeparationInstance((a, b), (a, other_rate), a)
         assert SeparationInstance((a, b), (b, a), a).size == 2
+
+
+class TestScoringKernel:
+    """The one blocked Gram pass behind si_snr, the cost matrix and SI-SDRi."""
+
+    BLOCK = metrics._BLOCK
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(2, 8),
+        n=st.sampled_from([8, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]),
+        seed=st.integers(0, 2**32 - 1),
+        noise_db=st.floats(-10.0, 75.0),
+        silent=st.sampled_from([None, "zeros", "constant"]),
+    )
+    def test_matches_reference_pair_by_pair(self, c, n, seed, noise_db, silent):
+        rng = np.random.default_rng(seed)
+        sources = rng.standard_normal((c, n))
+        targets = [10.0 ** rng.uniform(-4, 4) * s + rng.uniform(-5, 5) for s in sources]
+        mixture = sources.sum(axis=0) + rng.uniform(-5, 5)
+        # Estimate j holds source order[j] plus leakage and noise about
+        # noise_db below it, then an arbitrary gain and DC offset.
+        order = rng.permutation(c)
+        estimates = []
+        for held in order:
+            error = 0.5 * sources[(held + 1) % c] + rng.standard_normal(n)
+            x = sources[held] + 10.0 ** (-noise_db / 20.0) * error
+            estimates.append(10.0 ** rng.uniform(-4, 4) * x + rng.uniform(-5, 5))
+        silent_j = None
+        if silent is not None:
+            silent_j = int(rng.integers(c))
+            estimates[silent_j] = np.full(n, 0.0 if silent == "zeros" else rng.uniform(-5, 5))
+        instance = SeparationInstance(
+            tuple(AudioSignal(t, 8000) for t in targets),
+            tuple(AudioSignal(e, 8000) for e in estimates),
+            AudioSignal(mixture, 8000),
+        )
+        columns = estimates + [mixture]
+
+        def expected(i, j):  # the oracle divides by zero on a silent estimate
+            return -SI_SNR_CLAMP_DB if j == silent_j else si_snr_reference(targets[i], columns[j])
+
+        matrix = pairwise_cost_matrix(instance).entries
+        for i in range(c):
+            for j in range(c):
+                assert abs(-matrix[i, j] - expected(i, j)) <= 1e-9
+        perm = rng.permutation(c)
+        improvement = si_sdr_improvement(instance, perm)
+        for i, j in enumerate(perm):
+            assert abs(improvement[i] - (expected(i, j) - expected(i, c))) <= 1e-9
+
+    def test_zero_energy_target_names_its_pair(self):
+        base = toy_instance(c=4)
+        flat = AudioSignal(np.full(len(base.mixture), 0.3), base.mixture.sample_rate)
+        targets = base.targets[:2] + (flat,) + base.targets[3:]
+        instance = SeparationInstance(targets, base.estimates, base.mixture)
+        with pytest.raises(InvalidInputError, match=r"pair \(target 2, estimate 0\): .*zero energy"):
+            pairwise_cost_matrix(instance)
+
+    def test_overflowing_estimate_rejected(self):
+        base = toy_instance(c=3)
+        huge = AudioSignal(1e160 * base.estimates[2].samples, base.mixture.sample_rate)
+        instance = SeparationInstance(base.targets, base.estimates[:2] + (huge,), base.mixture)
+        with pytest.raises(InvalidInputError, match=r"pair \(target 0, estimate 2\): .*overflows"):
+            pairwise_cost_matrix(instance)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            si_sdr_improvement(instance, [0, 1, 2])
+
+    def test_one_scoring_pass_feeds_loss_and_improvement(self, monkeypatch):
+        kernel, passes = metrics._si_snr_matrix, []
+
+        def spy(targets, estimates):
+            passes.append(kernel(targets, estimates))
+            return passes[-1]
+
+        monkeypatch.setattr(metrics, "_si_snr_matrix", spy)
+        instance = toy_instance(c=5, noise=0.05, shuffle=[3, 0, 4, 1, 2], seed=21)
+        loss = hungarian_loss(instance)
+        improvement = si_sdr_improvement(instance, loss.permutation)
+        matrix = pairwise_cost_matrix(instance)
+        assert len(passes) == 1
+        scores = passes[0]
+        rows = np.arange(5)
+        assert np.array_equal(-matrix.entries, scores[:, :5])
+        assert np.array_equal(-loss.per_pair, scores[rows, loss.permutation])
+        assert np.array_equal(improvement, scores[rows, loss.permutation] - scores[:, 5])
