@@ -5,7 +5,8 @@ solver (`solve_hungarian`), an exhaustive O(C!) enumeration kept as a
 ground-truth oracle for small C (`solve_bruteforce`), and an O(k*C^2)
 entropic approximation (`solve_sinkhorn`). All three take a square cost
 matrix and return the chosen row-to-column permutation together with its
-summed cost and solver telemetry.
+summed cost and solver telemetry. `solve_batch` runs the augmenting-path
+solver on a whole stack of equal-size matrices in lockstep.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -66,7 +66,8 @@ class AssignmentResult:
     `permutation[i]` is the column assigned to row i. `iterations` is
     solver-specific telemetry: cost-adjustment rounds for the polynomial
     solver, permutations evaluated for the exhaustive one, balancing rounds
-    for the approximate one. `elapsed_ns` is wall-clock solve time.
+    for the approximate one. `elapsed_ns` is wall-clock solve time; results
+    of a lockstep `solve_batch` carry an amortised share of their batch's.
     """
 
     permutation: np.ndarray
@@ -123,7 +124,23 @@ def _validated_entries(matrix) -> np.ndarray:
 def _matched_cost(entries: np.ndarray, mapping: np.ndarray) -> float:
     # One shared summation order so costs from different solvers compare
     # bit-stably whenever they pick the same permutation.
-    return float(entries[np.arange(entries.shape[0]), mapping].sum())
+    cost = float(entries[np.arange(entries.shape[0]), mapping].sum())
+    if not math.isfinite(cost):
+        raise InvalidInputError(
+            f"matched cost {cost} overflows float64; rescale the cost matrix"
+        )
+    return cost
+
+
+def _scaled(entries: np.ndarray) -> np.ndarray:
+    """Each trailing C x C matrix times the power of two that puts max|c| in [0.5, 1).
+
+    Scaling by a power of two is exact, so every comparison the solver makes
+    is unchanged, while the dual updates can no longer overflow on finite
+    entries near the float64 limit.
+    """
+    _, exponent = np.frexp(np.abs(entries).max(axis=(-2, -1), keepdims=True))
+    return np.ldexp(entries, -exponent)
 
 
 def solve_hungarian(matrix) -> AssignmentResult:
@@ -136,11 +153,12 @@ def solve_hungarian(matrix) -> AssignmentResult:
     row-reduced minima already sit in distinct columns reports 0.
 
     When several permutations tie for the optimum the returned one is
-    deterministic, but only `total_cost` is contract-stable.
+    deterministic, but only `total_cost` is contract-stable. A matched
+    cost that overflows float64 raises InvalidInputError.
     """
     entries = _validated_entries(matrix)
     start = time.perf_counter_ns()
-    mapping, adjustments = _augmenting_path_assignment(entries)
+    mapping, adjustments = _augmenting_path_assignment(_scaled(entries))
     elapsed = time.perf_counter_ns() - start
     return AssignmentResult(mapping, _matched_cost(entries, mapping), adjustments, elapsed)
 
@@ -188,6 +206,79 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
             j = prev
     mapping = np.empty(n, dtype=np.intp)
     mapping[match_col] = np.arange(n)
+    return mapping, adjustments
+
+
+def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_augmenting_path_assignment` on a (B, C, C) stack, all B matrices at once.
+
+    Row i of every matrix is matched in the same pass. Each round advances
+    every matrix still searching for row i's augmenting path by one Dijkstra
+    step, using (k, C) array operations on the k matrices still searching;
+    a matrix leaves the round's arrays once its path reaches a free column.
+    The paths are then flipped together. Per matrix, each comparison and
+    dual update is the one the single-matrix loop makes, so the permutations
+    and adjustment counts are the same.
+    """
+    batch, n, _ = entries.shape
+    u = entries.min(axis=2)
+    v = (entries - u[:, :, None]).min(axis=1)
+    match_col = np.full((batch, n), -1, dtype=np.intp)  # column -> matched row
+    adjustments = np.zeros(batch, dtype=np.int64)
+    way = np.empty((batch, n), dtype=np.intp)  # predecessor columns of each finished search
+    end = np.empty(batch, dtype=np.intp)  # free column each search reached
+    everyone = np.arange(batch)
+    for i in range(n):
+        # State of the searches still running, compressed to their k matrices.
+        act, rows = everyone, everyone
+        ua, va = u.copy(), v.copy()
+        minv = np.full((batch, n), np.inf)
+        pred = np.full((batch, n), -1, dtype=np.intp)
+        used = np.zeros((batch, n), dtype=bool)
+        in_tree = np.zeros((batch, n), dtype=bool)  # rows whose duals move with delta
+        in_tree[:, i] = True
+        j0 = np.full(batch, -1, dtype=np.intp)
+        i0 = np.full(batch, i, dtype=np.intp)
+        while act.size:
+            reduced = entries[act, i0] - ua[rows, i0][:, None] - va
+            better = ~used & (reduced < minv)
+            minv = np.where(better, reduced, minv)
+            pred = np.where(better, j0[:, None], pred)
+            candidates = np.where(used, np.inf, minv)
+            j1 = candidates.argmin(axis=1)
+            delta = candidates[rows, j1]
+            adjustments[act] += delta > 0.0
+            step = delta[:, None]
+            # Adding 0 where the loop skips the update changes at most a zero's sign.
+            ua += in_tree * step
+            va -= used * step
+            minv -= step  # a used column's slack is never read again
+            used[rows, j1] = True
+            i0 = match_col[act, j1]
+            done = i0 < 0
+            if done.any():
+                finished = act[done]
+                way[finished] = pred[done]
+                end[finished] = j1[done]
+                u[finished] = ua[done]
+                v[finished] = va[done]
+                keep = np.flatnonzero(~done)
+                act, i0, j1 = act[keep], i0[keep], j1[keep]
+                ua, va, minv, pred, used, in_tree = (
+                    state.take(keep, axis=0) for state in (ua, va, minv, pred, used, in_tree)
+                )
+                rows = everyone[: act.size]
+            j0 = j1
+            in_tree[rows, i0] = True
+        # Flip matched edges along every augmenting path back to its root.
+        act, col = everyone, end
+        while act.size:
+            prev = way[act, col]
+            match_col[act, col] = np.where(prev < 0, i, match_col[act, prev])
+            walking = prev >= 0
+            act, col = act[walking], prev[walking]
+    mapping = np.empty((batch, n), dtype=np.intp)
+    mapping[everyone[:, None], match_col] = np.arange(n)
     return mapping, adjustments
 
 
@@ -261,7 +352,9 @@ def solve_sinkhorn(matrix, config: SinkhornConfig | None = None) -> AssignmentRe
     for `config.iterations` alternating row/column rounds, then rounded to
     a hard permutation greedily: rows in order of descending peak value,
     each taking the largest still-free column. A per-row max shift keeps
-    the exponentials in (0, 1] for any cost scale, so nothing overflows.
+    the exponentials in (0, 1] for any cost scale, so nothing overflows;
+    a temperature so small that M / temperature itself overflows float64
+    raises InvalidInputError.
 
     The rounded result is a genuine permutation, so its cost can only meet
     or exceed the exact optimum. `iterations` echoes the balancing rounds.
@@ -270,7 +363,13 @@ def solve_sinkhorn(matrix, config: SinkhornConfig | None = None) -> AssignmentRe
     if config is None:
         config = SinkhornConfig()
     start = time.perf_counter_ns()
-    scaled = entries / -config.temperature
+    with np.errstate(over="ignore"):  # an overflow is reported below, by name
+        scaled = entries / -config.temperature
+    if not np.isfinite(scaled).all():
+        raise InvalidInputError(
+            f"temperature {config.temperature!r} is too small for costs of magnitude "
+            f"{np.abs(entries).max()!r}: cost / temperature overflows float64"
+        )
     scaled -= scaled.max(axis=1, keepdims=True)
     kernel = np.exp(scaled)
     floor = np.finfo(np.float64).tiny  # avoid 0/0 if a row/column underflows entirely
@@ -307,18 +406,35 @@ def permutation_count(c: int) -> int:
 def solve_batch(
     matrices: Iterable,
     solver: Callable[..., AssignmentResult] = solve_hungarian,
-    max_workers: int | None = None,
 ) -> list[AssignmentResult]:
     """Solve many independent matrices, preserving input order in the output.
 
-    Solvers are pure functions of their inputs, so batches are safe to fan
-    out across threads; the default (`max_workers=None`) solves inline.
+    With `solve_hungarian` (the default), the matrices are grouped by size
+    and each group is solved in lockstep as one stack; every result equals
+    the one `solve_hungarian` gives for that matrix, except that its
+    `elapsed_ns` is the group's solve time divided by the group's size (an
+    amortised share, not the matrix's own time). Any other solver is called
+    once per matrix.
     """
-    items = list(matrices)
-    if max_workers is None or max_workers <= 1 or len(items) <= 1:
-        return [solver(m) for m in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(solver, items))
+    # The module global is looked up at call time, so a caller that replaces
+    # it with a wrapper (as a tracer does) and passes that still batches.
+    if solver is not solve_hungarian:
+        return [solver(m) for m in matrices]
+    entries = [_validated_entries(m) for m in matrices]
+    groups: dict[int, list[int]] = {}
+    for k, e in enumerate(entries):
+        groups.setdefault(e.shape[0], []).append(k)
+    results: dict[int, AssignmentResult] = {}
+    for members in groups.values():
+        start = time.perf_counter_ns()
+        mappings, adjustments = _lockstep_assignment(
+            _scaled(np.stack([entries[k] for k in members]))
+        )
+        share = (time.perf_counter_ns() - start) // len(members)
+        for k, mapping, rounds in zip(members, mappings, adjustments.tolist()):
+            cost = _matched_cost(entries[k], mapping)
+            results[k] = AssignmentResult(mapping, cost, rounds, share)
+    return [results[k] for k in range(len(entries))]
 
 
 # --- serialization -----------------------------------------------------------

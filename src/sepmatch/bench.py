@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .assignment import (
     BRUTEFORCE_GUARD,
     CostMatrix,
     SinkhornConfig,
+    solve_batch,
     solve_bruteforce,
     solve_hungarian,
     solve_sinkhorn,
@@ -116,27 +116,18 @@ def _random_matrices(c: int, trials: int, seed: int) -> np.ndarray:
     return rng.uniform(ENTRY_RANGE[0], ENTRY_RANGE[1], size=(trials, c, c))
 
 
-def _run_trials(solve, matrices, workers: int):
-    if workers <= 1:
-        return [solve(m) for m in matrices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(solve, matrices))  # ordered join
-
-
 def sweep_solvers(
     c_values,
     trials: int,
     seed: int = 0,
     guard: int = BRUTEFORCE_GUARD,
     sinkhorn_config: SinkhornConfig | None = None,
-    workers: int = 1,
 ) -> list[BenchReport]:
     """Time all three solvers on random matrices for each requested C.
 
     Brute force only runs when C fits under `guard`; larger sizes produce a
-    skipped row carrying the reason instead of fabricated timings. Trials
-    can fan out over `workers` threads, but keep the default of 1 whenever
-    the timings themselves matter: contended threads inflate wall-clock.
+    skipped row carrying the reason instead of fabricated timings. Each
+    trial is timed as its own solver call.
     """
     c_values = [int(c) for c in c_values]
     if not c_values:
@@ -169,7 +160,7 @@ def sweep_solvers(
                     )
                 )
                 continue
-            results = _run_trials(solvers[name], matrices, workers)
+            results = [solvers[name](m) for m in matrices]
             times = np.array([r.elapsed_ns for r in results], dtype=np.int64)
             mean_iters = float(np.mean([float(r.iterations) for r in results]))
             reports.append(
@@ -193,6 +184,7 @@ def iteration_profile(difficulty_sweep, c: int, trials: int, seed: int = 0) -> l
     diagonal-optimum template (d=0, solved within the reduction phase, so
     zero rounds) and a fully random matrix (d=1). The same random draws
     are reused across difficulties, making the sweep a paired comparison.
+    Each difficulty's stack of matrices is solved as one `solve_batch`.
     """
     difficulties = [float(d) for d in difficulty_sweep]
     if any(not (0.0 <= d <= 1.0) for d in difficulties):
@@ -206,10 +198,8 @@ def iteration_profile(difficulty_sweep, c: int, trials: int, seed: int = 0) -> l
     randoms = _random_matrices(c, trials, seed)
     points = []
     for d in difficulties:
-        iterations = [
-            solve_hungarian((1.0 - d) * template + d * r).iterations for r in randoms
-        ]
-        points.append(ProfilePoint(d, float(np.mean(iterations))))
+        results = solve_batch((1.0 - d) * template + d * randoms)
+        points.append(ProfilePoint(d, float(np.mean([r.iterations for r in results]))))
     return points
 
 

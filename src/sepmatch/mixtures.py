@@ -15,13 +15,10 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidInputError
 from .metrics import AudioSignal
-from .wavio import read_wav
+from .wavio import MAX_WRITE_RATE, read_wav
 
 #: Generated sources are peak-normalized to this amplitude.
 PEAK_AMPLITUDE = 0.9
-
-# The 16-bit mono WAV header stores the byte rate, 2 x sample rate, as a u32.
-_MAX_SAMPLE_RATE = (2**32 - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,9 @@ class MixSpec:
     def __post_init__(self) -> None:
         if self.num_sources < 2:
             raise InvalidInputError(f"num_sources must be >= 2, got {self.num_sources}")
-        if not 1 <= self.sample_rate <= _MAX_SAMPLE_RATE:
+        if not 1 <= self.sample_rate <= MAX_WRITE_RATE:
             raise InvalidInputError(
-                f"sample_rate must be in 1..{_MAX_SAMPLE_RATE} Hz, got {self.sample_rate}"
+                f"sample_rate must be in 1..{MAX_WRITE_RATE} Hz, got {self.sample_rate}"
             )
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive, got {self.duration}")

@@ -19,6 +19,10 @@ from .metrics import AudioSignal
 _PCM = 1
 _IEEE_FLOAT = 3
 
+#: Highest rate `write_wav` accepts: the 16-bit mono header stores the byte
+#: rate, 2 x sample rate, as a u32.
+MAX_WRITE_RATE = (2**32 - 1) // 2
+
 _FORMAT_NAMES = {
     0x0000: "unknown",
     0x0001: "PCM",
@@ -89,8 +93,13 @@ def write_wav(path, signal: AudioSignal) -> None:
     """Write a mono 16-bit PCM WAV (no dithering: plain round and clip).
 
     A signal in [-1, 1] round-trips through write/read within 1/32768 per
-    sample.
+    sample. A sample rate above MAX_WRITE_RATE raises WavFormatError.
     """
+    if signal.sample_rate > MAX_WRITE_RATE:
+        raise WavFormatError(
+            f"{path}: sample rate {signal.sample_rate} Hz does not fit a 16-bit WAV header "
+            f"(max {MAX_WRITE_RATE} Hz)"
+        )
     quantized = np.clip(np.round(signal.samples * 32768.0), -32768, 32767).astype("<i2")
     payload = quantized.tobytes()
     header = struct.pack(

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +129,70 @@ class TestHungarian:
             assert abs(solve_hungarian(matrix).total_cost - matrix[rows, cols].sum()) <= 1e-9
 
 
+def exact_optimum(matrix):
+    """Exact oracle: the least rational cost over every permutation."""
+    c = len(matrix)
+    return min(
+        sum(Fraction(matrix[i][p[i]]) for i in range(c)) for p in itertools.permutations(range(c))
+    )
+
+
+def assert_optimal_to_resolution(matrix, permutation):
+    """The permutation's exact cost is the optimum to within float64 resolution.
+
+    A float64 solver cannot tell apart costs closer than about C ulps of the
+    largest entry, so that is the tolerance.
+    """
+    c = len(matrix)
+    scaled = np.ldexp(matrix, -np.frexp(np.abs(matrix).max())[1])  # max|c| in [0.5, 1)
+    gap = sum(Fraction(scaled[i][permutation[i]]) for i in range(c)) - exact_optimum(scaled)
+    assert 0 <= gap <= c * np.finfo(np.float64).eps
+
+
+class TestMagnitude:
+    """Finite entries near the float64 limit: no overflow inside the solve."""
+
+    def test_huge_entries_regression(self):
+        matrix = np.array([[1, 1.7e308, 1.7e308], [-1.7e308, 9e307, 1], [9e307, 0, 9e307]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            single = solve_hungarian(matrix)
+            batched = solve_batch([matrix])[0]
+        assert_optimal_to_resolution(matrix, single.permutation)
+        assert single.total_cost == matrix[np.arange(3), single.permutation].sum()
+        assert np.array_equal(batched.permutation, single.permutation)
+        assert batched.total_cost == single.total_cost
+
+    def test_random_huge_entries(self):
+        values = np.array([1.7e308, -1.7e308, -1e308, 9e307, 0.0, 1.0])
+        rng = np.random.default_rng(2024)
+        solved = []
+        for _ in range(400):
+            c = int(rng.integers(2, 6))
+            matrix = rng.choice(values, (c, c))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = solve_hungarian(matrix)
+                except InvalidInputError as exc:
+                    # Only the float64 sum of the matched entries may overflow.
+                    assert "overflows" in str(exc)
+                    continue
+            assert not caught
+            assert_optimal_to_resolution(matrix, result.permutation)
+            assert math.isfinite(result.total_cost)
+            solved.append(matrix)
+        assert len(solved) >= 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_same_as_single(solved, solve_batch(solved))
+
+    def test_overflowing_cost_raises(self):
+        matrix = np.full((2, 2), 1.7e308)
+        with pytest.raises(InvalidInputError, match="overflows"), np.errstate(over="ignore"):
+            solve_hungarian(matrix)
+
+
 @st.composite
 def matrix_and_shift(draw):
     n = draw(st.integers(2, 6))
@@ -227,6 +293,13 @@ class TestSinkhorn:
         assert sorted(result.permutation) == list(range(10))
         assert math.isfinite(result.total_cost)
 
+    def test_temperature_overflow_raises(self):
+        # cost / temperature overflowed to inf and Sinkhorn fell back to the identity.
+        rng = np.random.default_rng(19)
+        matrix = rng.uniform(-30.0, 30.0, (5, 5))
+        with pytest.raises(InvalidInputError, match="temperature 1e-310"):
+            solve_sinkhorn(matrix, SinkhornConfig(temperature=1e-310))
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SinkhornConfig(iterations=0)
@@ -263,8 +336,8 @@ class TestBatch:
         rng = np.random.default_rng(3)
         matrices = [rng.uniform(-30, 30, (6, 6)) for _ in range(12)]
         sequential = [solve_hungarian(m) for m in matrices]
-        threaded = solve_batch(matrices, max_workers=4)
-        for s, t in zip(sequential, threaded):
+        batched = solve_batch(matrices)
+        for s, t in zip(sequential, batched):
             assert np.array_equal(s.permutation, t.permutation)
             assert s.total_cost == t.total_cost
 
@@ -272,6 +345,82 @@ class TestBatch:
         matrices = [np.zeros((3, 3)), np.eye(3)]
         results = solve_batch(matrices, solver=solve_bruteforce)
         assert [r.iterations for r in results] == [6, 6]
+
+    def test_mixed_sizes(self):
+        rng = np.random.default_rng(8)
+        sizes = [int(c) for c in rng.integers(1, 13, 40)]
+        matrices = [rng.uniform(-30, 30, (c, c)) for c in sizes]
+        matrices[3] = CostMatrix(matrices[3])
+        matrices[5] = matrices[5].tolist()
+        results = solve_batch(matrices)
+        assert [r.permutation.size for r in results] == sizes
+        assert_same_as_single(matrices, results)
+        # Each result carries its group's amortised share of the solve time.
+        for c in set(sizes):
+            shares = {r.elapsed_ns for r, size in zip(results, sizes) if size == c}
+            assert len(shares) == 1 and min(shares) >= 0
+
+    def test_empty_and_invalid(self):
+        assert solve_batch([]) == []
+        with pytest.raises(InvalidInputError):
+            solve_batch([np.eye(3), [[1.0, np.nan], [0.0, 1.0]]])
+        with pytest.raises(EmptyInputError):
+            solve_batch([np.eye(2), np.empty((0, 0))])
+
+    def test_wrapped_default_solver_stays_batched(self, monkeypatch):
+        # A caller that wraps the module's solve_hungarian (as a tracer does)
+        # and passes the wrapper gets the lockstep path, not per-matrix calls.
+        calls = []
+        original = assignment.solve_hungarian
+
+        def wrapped(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(assignment, "solve_hungarian", wrapped)
+        matrices = [np.eye(4), 1.0 - np.eye(4)]
+        results = assignment.solve_batch(matrices, solver=assignment.solve_hungarian)
+        assert calls == []
+        assert [r.total_cost for r in results] == [0.0, 0.0]
+
+
+def assert_same_as_single(matrices, results):
+    assert len(results) == len(matrices)
+    for matrix, got in zip(matrices, results):
+        want = solve_hungarian(matrix)
+        assert np.array_equal(got.permutation, want.permutation)
+        assert got.total_cost == want.total_cost
+        assert got.iterations == want.iterations
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(B, C, C) stacks: tie-heavy integers, rank-1 products or planted profiles."""
+    c = draw(st.integers(1, 25))
+    b = draw(st.integers(0, 64))
+    kind = draw(st.sampled_from(["ties", "rank1", "planted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        return rng.integers(0, 3, (b, c, c)).astype(np.float64)
+    if kind == "rank1":
+        return rng.uniform(-3.0, 3.0, (b, c, 1)) * rng.uniform(-3.0, 3.0, (b, 1, c))
+    # As in bench.iteration_profile: a zero-diagonal template blended with noise.
+    d = draw(st.floats(0.0, 1.0))
+    template = np.full((c, c), 30.0)
+    np.fill_diagonal(template, 0.0)
+    return (1.0 - d) * template + d * rng.uniform(-30.0, 30.0, (b, c, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=matrix_stacks())
+def test_batch_equals_single(stack):
+    results = solve_batch(stack)
+    assert_same_as_single(stack, results)
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    for matrix, got in zip(stack, results):
+        rows, cols = scipy_opt.linear_sum_assignment(matrix)
+        best = matrix[rows, cols].sum()
+        assert abs(got.total_cost - best) <= 1e-9 * max(1.0, abs(best))
 
 
 class TestSerialization:

@@ -69,12 +69,6 @@ class TestSweep:
             r.mean_iterations for r in paired if r.c == 6
         ]
 
-    def test_workers_pool_gives_same_telemetry(self):
-        single = sweep_solvers([8], trials=6, seed=5)
-        pooled = sweep_solvers([8], trials=6, seed=5, workers=3)
-        for a, b in zip(single, pooled):
-            assert a.mean_iterations == b.mean_iterations
-
     def test_input_validation(self):
         with pytest.raises(EmptyInputError):
             sweep_solvers([], trials=1)

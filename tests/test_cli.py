@@ -42,6 +42,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["total_cost"] == 5.0
 
+    def test_sinkhorn_temperature_overflow_exit_2(self, capsys, golden_file):
+        code, out, err = run(
+            capsys, ["solve", golden_file, "--solver", "sinkhorn", "--temperature", "1e-310"]
+        )
+        assert code == 2 and out == ""
+        assert "temperature" in err
+
     def test_text_format(self, capsys, golden_file):
         code, out, _ = run(capsys, ["solve", golden_file, "--format", "text"])
         assert code == 0

@@ -38,6 +38,13 @@ class TestRoundTrip:
         assert len(loaded) == 8000
         assert np.abs(loaded.samples - signal.samples).max() <= 1.0 / 32768.0
 
+    def test_rate_beyond_header_rejected(self, tmp_path):
+        # 2 x rate is the WAV byte rate, a u32 field: 3 GHz used to die in struct.pack.
+        path = tmp_path / "fast.wav"
+        with pytest.raises(WavFormatError, match="3000000000 Hz"):
+            write_wav(path, AudioSignal([0.0, 0.5], 3_000_000_000))
+        assert not path.exists()
+
     def test_full_scale_values(self, tmp_path):
         path = tmp_path / "edges.wav"
         signal = AudioSignal([1.0, -1.0, 0.0, 0.999, -0.999], 8000)
