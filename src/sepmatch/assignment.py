@@ -124,12 +124,20 @@ def _validated_entries(matrix) -> np.ndarray:
 def _matched_cost(entries: np.ndarray, mapping: np.ndarray) -> float:
     # One shared summation order so costs from different solvers compare
     # bit-stably whenever they pick the same permutation.
-    cost = float(entries[np.arange(entries.shape[0]), mapping].sum())
-    if not math.isfinite(cost):
+    matched = entries[np.arange(entries.shape[0]), mapping]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf gives nan
+        cost = float(matched.sum())
+    if math.isfinite(cost):
+        return cost
+    # A partial sum overflowed; the exact sum, taken on a copy scaled by a
+    # power of two, may still fit.
+    _, exponent = np.frexp(np.abs(matched).max())
+    try:
+        return math.ldexp(math.fsum(np.ldexp(matched, -exponent)), int(exponent))
+    except OverflowError:
         raise InvalidInputError(
             f"matched cost {cost} overflows float64; rescale the cost matrix"
-        )
-    return cost
+        ) from None
 
 
 def _scaled(entries: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,16 +60,7 @@ class BenchReport:
             raise InvalidInputError("median_ns exceeds p95_ns")
 
     def to_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "c": self.c,
-            "trials": self.trials,
-            "median_ns": self.median_ns,
-            "p95_ns": self.p95_ns,
-            "mean_iterations": self.mean_iterations,
-            "permutation_count": self.permutation_count,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,7 @@ def export_confusion(matrix) -> ConfusionExport:
     the export is the k-th largest matched-pair cost. The export is a pure
     row/column permutation of the input, never a value change.
     """
-    cost = matrix if isinstance(matrix, CostMatrix) else CostMatrix(matrix)
+    cost = CostMatrix(matrix)
     result = solve_hungarian(cost)
     matched = cost.entries[np.arange(cost.size), result.permutation]
     row_order = np.argsort(-matched, kind="stable")

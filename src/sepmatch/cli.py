@@ -58,10 +58,6 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    if len(args.targets) != len(args.estimates):
-        raise InvalidInputError(
-            f"{len(args.targets)} targets but {len(args.estimates)} estimates"
-        )
     paths = [*args.targets, *args.estimates, args.mixture]
     signals = [read_wav(p) for p in paths]
     rates = {s.sample_rate for s in signals}
@@ -74,8 +70,8 @@ def _cmd_evaluate(args) -> None:
     n = len(args.targets)
     instance = SeparationInstance(
         targets=tuple(signals[:n]),
-        estimates=tuple(signals[n : 2 * n]),
-        mixture=signals[2 * n],
+        estimates=tuple(signals[n:-1]),
+        mixture=signals[-1],
     )
     loss = hungarian_loss(instance)
     improvement = si_sdr_improvement(instance, loss.permutation)
@@ -126,27 +122,20 @@ def _cmd_mix(args) -> None:
     print(json.dumps(manifest))
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, convert) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise InvalidInputError(f"bad numeric list {text!r}: {exc}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidInputError(f"bad integer list {text!r}: {exc}") from exc
+        raise InvalidInputError(f"bad {convert.__name__} list {text!r}: {exc}") from exc
 
 
 def _cmd_bench(args) -> None:
-    c_values = _parse_ints(args.c_values)
+    c_values = _parse_list(args.c_values, int)
     if args.profile_difficulties is not None:
         if len(c_values) != 1:
             raise InvalidInputError("--profile-difficulties needs exactly one value in --c-values")
         points = iteration_profile(
-            _parse_floats(args.profile_difficulties), c_values[0], args.trials, args.seed
+            _parse_list(args.profile_difficulties, float), c_values[0], args.trials, args.seed
         )
         if args.format == "csv":
             body = "difficulty,mean_iterations\n" + "".join(

@@ -70,6 +70,18 @@ class AudioSignal:
         return self.samples.size / self.sample_rate
 
 
+def _check_aligned(signals) -> None:
+    """Raise unless `signals` is non-empty and shares one sample rate and one length."""
+    if not signals:
+        raise EmptyInputError("no signals given")
+    rates = {s.sample_rate for s in signals}
+    if len(rates) > 1:
+        raise InvalidInputError(f"signals disagree on sample rate: {sorted(rates)}")
+    lengths = {len(s) for s in signals}
+    if len(lengths) > 1:
+        raise InvalidInputError(f"signals disagree on length: {sorted(lengths)}")
+
+
 @dataclass(frozen=True, eq=False)
 class SeparationInstance:
     """Aligned target and estimate signals plus their common mixture."""
@@ -86,13 +98,7 @@ class SeparationInstance:
             raise InvalidInputError(f"{len(targets)} targets but {len(estimates)} estimates")
         if len(targets) < 2:
             raise InvalidInputError("an instance needs at least 2 sources")
-        everything = targets + estimates + (self.mixture,)
-        rates = {s.sample_rate for s in everything}
-        if len(rates) > 1:
-            raise InvalidInputError(f"signals disagree on sample rate: {sorted(rates)}")
-        lengths = {len(s) for s in everything}
-        if len(lengths) > 1:
-            raise InvalidInputError(f"signals disagree on length: {sorted(lengths)}")
+        _check_aligned(targets + estimates + (self.mixture,))
 
     @property
     def size(self) -> int:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidInputError
-from .metrics import AudioSignal
+from .errors import InvalidInputError
+from .metrics import AudioSignal, _check_aligned
 from .wavio import MAX_WRITE_RATE, read_wav
 
 #: Generated sources are peak-normalized to this amplitude.
@@ -65,6 +65,14 @@ SYNTHETIC_KINDS = (
 )
 
 
+def _snr_range(value) -> tuple[float, float]:
+    """`value` as a finite (low, high) pair of floats with low <= high."""
+    low, high = float(value[0]), float(value[1])
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise InvalidInputError(f"bad snr_range: {value}")
+    return low, high
+
+
 @dataclass(frozen=True)
 class MixSpec:
     """Recipe for one synthetic instance: C sources at a rate, duration, SNR spread."""
@@ -84,10 +92,7 @@ class MixSpec:
             )
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive, got {self.duration}")
-        low, high = (float(self.snr_range[0]), float(self.snr_range[1]))
-        if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-            raise InvalidInputError(f"bad snr_range: {self.snr_range}")
-        object.__setattr__(self, "snr_range", (low, high))
+        object.__setattr__(self, "snr_range", _snr_range(self.snr_range))
         if self.num_samples < 1:
             raise InvalidInputError("duration * sample_rate rounds to zero samples")
 
@@ -173,17 +178,8 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     Returns (mixture, gains).
     """
     sources = list(sources)
-    if not sources:
-        raise EmptyInputError("no sources to mix")
-    rates = {s.sample_rate for s in sources}
-    if len(rates) > 1:
-        raise InvalidInputError(f"sources disagree on sample rate: {sorted(rates)}")
-    lengths = {len(s) for s in sources}
-    if len(lengths) > 1:
-        raise InvalidInputError(f"sources disagree on length: {sorted(lengths)}")
-    low, high = float(snr_range[0]), float(snr_range[1])
-    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-        raise InvalidInputError(f"bad snr_range: {snr_range}")
+    _check_aligned(sources)
+    low, high = _snr_range(snr_range)
     stacked = np.stack([s.samples for s in sources])
     energies = np.einsum("ij,ij->i", stacked, stacked)
     for index, energy in enumerate(energies):
@@ -208,10 +204,7 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
 def truncate_to_min(signals) -> list[AudioSignal]:
     """Trim every signal to the shortest length, keeping the leading samples."""
     signals = list(signals)
-    if not signals:
-        raise EmptyInputError("no signals to truncate")
-    rates = {s.sample_rate for s in signals}
-    if len(rates) > 1:
-        raise InvalidInputError(f"signals disagree on sample rate: {sorted(rates)}")
-    shortest = min(len(s) for s in signals)
-    return [AudioSignal(s.samples[:shortest], s.sample_rate) for s in signals]
+    shortest = min(map(len, signals), default=0)
+    cut = [AudioSignal(s.samples[:shortest], s.sample_rate) for s in signals]
+    _check_aligned(cut)
+    return cut

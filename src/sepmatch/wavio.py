@@ -1,9 +1,10 @@
 """Minimal RIFF/WAV reader and writer.
 
-Reads 16-bit PCM and 32-bit IEEE float payloads (first channel of
-multichannel files); writes mono 16-bit PCM with no dithering. Kept
-dependency-free so the error surface (malformed headers, named unsupported
-encodings) stays exact.
+Reads 16-bit PCM and 32-bit IEEE float payloads, from plain or
+WAVE_FORMAT_EXTENSIBLE headers (first channel of multichannel files);
+writes mono 16-bit PCM with no dithering. Kept dependency-free so the
+error surface (malformed headers, named unsupported encodings) stays
+exact.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ from .metrics import AudioSignal
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_EXTENSIBLE = 0xFFFE
+
+#: Bytes 26..40 of an extensible fmt chunk: the sub-format GUID after its
+#: leading format code, as in KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT.
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+#: Decodable (format code, bits): payload dtype and its map to float64 samples.
+_DECODERS = {
+    (_PCM, 16): ("<i2", lambda frames: frames / 32768.0),
+    (_IEEE_FLOAT, 32): ("<f4", lambda frames: np.clip(frames.astype(np.float64), -1.0, 1.0)),
+}
 
 #: Highest rate `write_wav` accepts: the 16-bit mono header stores the byte
 #: rate, 2 x sample rate, as a u32.
@@ -38,9 +50,10 @@ def read_wav(path) -> AudioSignal:
     """Read a WAV file into a mono AudioSignal.
 
     16-bit PCM samples are scaled by 1/32768; 32-bit float samples are
-    clipped to [-1, 1]. Multichannel files yield the first channel. Any
-    other encoding raises WavFormatError naming it; I/O problems surface
-    as OSError.
+    clipped to [-1, 1]. A WAVE_FORMAT_EXTENSIBLE header with a standard
+    sub-format GUID reads as its sub-format. Multichannel files yield the
+    first channel. Any other encoding raises WavFormatError naming it; I/O
+    problems surface as OSError.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -59,6 +72,8 @@ def read_wav(path) -> AudioSignal:
             if len(body) < 16:
                 raise WavFormatError(f"{path}: malformed fmt chunk ({len(body)} bytes)")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _EXTENSIBLE and len(body) >= 40 and body[26:40] == _SUBFORMAT_GUID_TAIL:
+                fmt = (*struct.unpack_from("<H", body, 24), *fmt[1:])
         elif chunk_id == b"data":
             payload = body
         offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
@@ -67,20 +82,15 @@ def read_wav(path) -> AudioSignal:
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1 or sample_rate < 1:
         raise WavFormatError(f"{path}: malformed fmt chunk (channels={channels}, rate={sample_rate})")
-    if audio_format == _PCM and bits == 16:
-        width = 2
-        frames = np.frombuffer(payload[: len(payload) - len(payload) % width], dtype="<i2")
-        samples = frames.astype(np.float64) / 32768.0
-    elif audio_format == _IEEE_FLOAT and bits == 32:
-        width = 4
-        frames = np.frombuffer(payload[: len(payload) - len(payload) % width], dtype="<f4")
-        samples = np.clip(frames.astype(np.float64), -1.0, 1.0)
-    else:
+    if (audio_format, bits) not in _DECODERS:
         name = _FORMAT_NAMES.get(audio_format, f"format 0x{audio_format:04x}")
         raise WavFormatError(
             f"{path}: unsupported encoding: {name} with {bits}-bit samples "
             f"(supported: 16-bit PCM, 32-bit IEEE float)"
         )
+    dtype, to_float = _DECODERS[audio_format, bits]
+    width = bits // 8
+    samples = to_float(np.frombuffer(payload[: len(payload) - len(payload) % width], dtype=dtype))
     if channels > 1:
         usable = (samples.size // channels) * channels
         samples = samples[:usable].reshape(-1, channels)[:, 0]

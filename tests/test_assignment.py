@@ -187,6 +187,17 @@ class TestMagnitude:
             warnings.simplefilter("error", RuntimeWarning)
             assert_same_as_single(solved, solve_batch(solved))
 
+    def test_representable_cost_past_pairwise_overflow(self):
+        # numpy's pairwise sum of the optimal entries overflows; the exact sum fits.
+        matrix = np.array([[-1e308, 0, 1], [-1.7e308, 1.7e308, -1e308], [1, 9e307, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = [solve_hungarian(matrix), solve_batch([matrix])[0]]
+        for result in results:
+            assert result.permutation.tolist() == [0, 2, 1]
+            assert result.total_cost == -1.1e308
+            assert_optimal_to_resolution(matrix, result.permutation)
+
     def test_overflowing_cost_raises(self):
         matrix = np.full((2, 2), 1.7e308)
         with pytest.raises(InvalidInputError, match="overflows"), np.errstate(over="ignore"):

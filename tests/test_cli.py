@@ -325,6 +325,12 @@ class TestBenchCli:
         code, _, err = run(capsys, ["bench", "--c-values", "4,x", "--trials", "2"])
         assert code == 2 and err != ""
 
+    def test_bad_profile_difficulties_exit_2(self, capsys):
+        code, _, err = run(
+            capsys, ["bench", "--c-values", "5", "--profile-difficulties", "0,x"]
+        )
+        assert code == 2 and "0,x" in err
+
 
 class TestConfusionCli:
     def test_stdout_json_and_out_dir(self, capsys, tmp_path, golden_matrix):

@@ -209,3 +209,18 @@ class TestTruncateToMin:
             truncate_to_min([])
         with pytest.raises(InvalidInputError, match="sample rate"):
             truncate_to_min([sine(300, rate=8000), sine(300, rate=16000)])
+
+
+def test_one_alignment_check_for_every_entry_point():
+    a, b = sine(300, n=100, rate=8000), sine(400, n=100, rate=16000)
+    calls = [
+        lambda: mix([a, b], (0.0, 5.0)),
+        lambda: truncate_to_min([a, b]),
+        lambda: SeparationInstance(targets=(a, b), estimates=(a, b), mixture=a),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"signals disagree on sample rate: [8000, 16000]"}

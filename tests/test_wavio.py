@@ -28,6 +28,20 @@ def wav_bytes(fmt=1, channels=1, rate=8000, bits=16, payload=b""):
     ) + payload
 
 
+GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def extensible_wav_bytes(sub_format, bits, payload, channels=1, guid_tail=GUID_TAIL):
+    block_align = channels * bits // 8
+    fmt = struct.pack(
+        "<HHIIHHHHIH14s", 0xFFFE, channels, 8000, 8000 * block_align, block_align, bits,
+        22, bits, 0, sub_format, guid_tail,
+    )
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 class TestRoundTrip:
     def test_sine_within_quantization_bound(self, tmp_path):
         path = tmp_path / "tone.wav"
@@ -67,6 +81,26 @@ class TestRead:
         path.write_bytes(wav_bytes(fmt=3, bits=32, payload=payload))
         loaded = read_wav(path)
         assert np.allclose(loaded.samples, [0.25, -0.75, 1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "fmt, bits, payload",
+        [(1, 16, struct.pack("<4h", 0, 16384, -16384, 32767)),
+         (3, 32, struct.pack("<4f", 0.25, -0.75, 1.5, -2.0))],
+        ids=["pcm16", "float32"],
+    )
+    def test_extensible_matches_plain_header(self, tmp_path, fmt, bits, payload):
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+        plain.write_bytes(wav_bytes(fmt=fmt, channels=2, bits=bits, payload=payload))
+        extensible.write_bytes(extensible_wav_bytes(fmt, bits, payload, channels=2))
+        want, got = read_wav(plain), read_wav(extensible)
+        assert got.sample_rate == want.sample_rate
+        assert np.array_equal(got.samples, want.samples)
+
+    def test_extensible_unknown_subformat_named(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        path.write_bytes(extensible_wav_bytes(1, 16, b"\x00\x01", guid_tail=bytes(14)))
+        with pytest.raises(WavFormatError, match="extensible"):
+            read_wav(path)
 
     def test_multichannel_takes_first_channel(self, tmp_path):
         payload = struct.pack("<6h", 100, -100, 200, -200, 300, -300)
