@@ -7,6 +7,9 @@ entropic approximation (`solve_sinkhorn`). All three take a square cost
 matrix and return the chosen row-to-column permutation together with its
 summed cost and solver telemetry. `solve_batch` runs the augmenting-path
 solver on a whole stack of equal-size matrices in lockstep.
+
+Matrix files (`load_matrix`) must be UTF-8, as plain text or JSON; bytes
+that do not decode raise MatrixParseError with their line.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -179,33 +183,47 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
     v = (entries - u[:, None]).min(axis=0)
     match_col = np.full(n, -1, dtype=np.intp)  # column -> matched row
     adjustments = 0
+    # Work arrays, refilled per row rather than reallocated per step.
+    reduced = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    minv = np.empty(n)  # cheapest slack into each column so far; +inf once scanned
+    way = np.empty(n, dtype=np.intp)  # predecessor column (-1 = root row)
+    free = np.empty(n, dtype=bool)  # column not yet scanned
+    tree_rows = np.empty(n, dtype=np.intp)  # row i, then the rows of scanned columns
+    tree_cols = np.empty(n, dtype=np.intp)  # scanned columns, in scan order
     for i in range(n):
-        minv = np.full(n, np.inf)  # cheapest slack into each column so far
-        way = np.full(n, -1, dtype=np.intp)  # predecessor column (-1 = root row)
-        used = np.zeros(n, dtype=bool)
+        minv.fill(np.inf)
+        way.fill(-1)
+        free.fill(True)
+        tree_rows[0] = i
+        scanned = 0
         j0 = -1
         i0 = i
         while True:
-            reduced = entries[i0] - u[i0] - v
-            better = ~used & (reduced < minv)
-            minv[better] = reduced[better]
-            way[better] = j0
-            candidates = np.where(used, np.inf, minv)
-            j1 = int(candidates.argmin())
-            delta = float(candidates[j1])
+            np.subtract(entries[i0], u.item(i0), out=reduced)
+            np.subtract(reduced, v, out=reduced)
+            np.less(reduced, minv, out=better)
+            np.logical_and(better, free, out=better)
+            np.putmask(minv, better, reduced)
+            np.putmask(way, better, j0)
+            j1 = int(minv.argmin())
+            delta = minv.item(j1)
             if delta > 0.0:
                 adjustments += 1
             if delta != 0.0:
                 # Shift duals so the cheapest slack edge becomes tight.
-                u[i] += delta
-                u[match_col[used]] += delta
-                v[used] -= delta
-                minv[~used] -= delta
-            used[j1] = True
-            if match_col[j1] < 0:
+                u[tree_rows[: scanned + 1]] += delta
+                v[tree_cols[:scanned]] -= delta
+                np.subtract(minv, delta, out=minv)  # scanned columns stay +inf
+            minv[j1] = np.inf
+            free[j1] = False
+            tree_cols[scanned] = j1
+            scanned += 1
+            i0 = match_col[j1]
+            if i0 < 0:
                 break
             j0 = j1
-            i0 = match_col[j1]
+            tree_rows[scanned] = i0
         # Flip matched edges along the augmenting path back to the root.
         j = j1
         while j != -1:
@@ -458,8 +476,10 @@ def matrix_to_text(matrix) -> str:
 def matrix_from_text(text: str) -> CostMatrix:
     """Parse the plain-text matrix form.
 
-    Raises MatrixParseError carrying the 1-based line and token column of
-    the first offending value.
+    The C body lines are parsed in one `np.loadtxt` pass. Whatever that pass
+    rejects is re-parsed token by token with `float()`, which either accepts
+    it (as it does `1_0`) or raises MatrixParseError carrying the 1-based
+    line and token column of the first offending value.
     """
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -475,7 +495,28 @@ def matrix_from_text(text: str) -> CostMatrix:
         ) from None
     if size < 1:
         raise MatrixParseError(f"matrix size must be >= 1, got {size}", line=1, column=1)
-    rows = np.empty((size, size), dtype=np.float64)
+    if not any(line.split() for line in lines[size + 1 :]):
+        try:
+            # loadtxt skips blank lines, warning when it finds no data at all;
+            # the shape check and the token loop below report those.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines[1 : size + 1], dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if rows.shape == (size, size):
+                return CostMatrix(rows)
+    return CostMatrix(_parse_tokens(lines, size))
+
+
+def _parse_tokens(lines: list[str], size: int) -> np.ndarray:
+    """The matrix body parsed one `float()` per token, raising at the first bad one.
+
+    Rows are collected as they parse, so a size header far larger than the
+    file allocates nothing before its row-count error.
+    """
+    rows = []
     for r in range(size):
         lineno = r + 2
         if r + 1 >= len(lines):
@@ -489,17 +530,19 @@ def matrix_from_text(text: str) -> CostMatrix:
                 line=lineno,
                 column=min(len(tokens), size) + 1,
             )
+        values = []
         for c, token in enumerate(tokens):
             try:
-                rows[r, c] = float(token)
+                values.append(float(token))
             except ValueError:
                 raise MatrixParseError(
                     f"{token!r} is not a number", line=lineno, column=c + 1
                 ) from None
+        rows.append(values)
     for extra in range(size + 1, len(lines)):
         if lines[extra].split():
             raise MatrixParseError("unexpected content after matrix", line=extra + 1, column=1)
-    return CostMatrix(rows)
+    return np.array(rows, dtype=np.float64)
 
 
 def matrix_to_json(matrix) -> str:
@@ -525,8 +568,18 @@ def matrix_from_json(text: str) -> CostMatrix:
 
 
 def load_matrix(path) -> CostMatrix:
-    """Read a matrix file, sniffing JSON vs plain text from the first byte."""
-    text = Path(path).read_text()
+    """Read a UTF-8 matrix file, sniffing JSON vs plain text from the first byte.
+
+    Bytes that are not UTF-8 raise MatrixParseError naming their line.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start].decode("utf-8")
+        raise MatrixParseError(
+            f"byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not UTF-8",
+            line=len((before + "x").splitlines()),  # the line the bad byte starts
+        ) from None
     if text.lstrip().startswith("{"):
         return matrix_from_json(text)
     return matrix_from_text(text)

@@ -202,9 +202,15 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
 
 
 def truncate_to_min(signals) -> list[AudioSignal]:
-    """Trim every signal to the shortest length, keeping the leading samples."""
+    """Trim every signal to the shortest length, keeping the leading samples.
+
+    A signal that is already the shortest length is returned as it is.
+    """
     signals = list(signals)
     shortest = min(map(len, signals), default=0)
-    cut = [AudioSignal(s.samples[:shortest], s.sample_rate) for s in signals]
+    cut = [
+        s if len(s) == shortest else AudioSignal(s.samples[:shortest], s.sample_rate)
+        for s in signals
+    ]
     _check_aligned(cut)
     return cut

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -434,6 +436,36 @@ def test_batch_equals_single(stack):
         assert abs(got.total_cost - best) <= 1e-9 * max(1.0, abs(best))
 
 
+# sha256 over (permutation, iterations, total_cost) of `solve_hungarian` on
+# `golden_matrices()`, recorded from the augmenting-path loop that allocated
+# fresh work arrays on every Dijkstra step.
+GOLDEN_DIGEST = "e3402e11715cc1a81cee05d57181dc5df0c6df1989361ed00b0c39217412df5c"
+
+
+def golden_matrices():
+    """Seeded uniform, {0, 1, 2}-integer, rank-1 and planted matrices, C = 1 to 320."""
+    for c, count in ((1, 4), (2, 4), (20, 4), (100, 2), (320, 1)):
+        rng = np.random.default_rng(1000 + c)
+        template = np.full((c, c), 30.0)
+        np.fill_diagonal(template, 0.0)
+        for _ in range(count):
+            yield rng.uniform(-30.0, 30.0, (c, c))
+            yield rng.integers(0, 3, (c, c)).astype(np.float64)
+            yield rng.uniform(-3.0, 3.0, (c, 1)) * rng.uniform(-3.0, 3.0, (1, c))
+            d = rng.uniform(0.0, 1.0)
+            yield (1.0 - d) * template + d * rng.uniform(-30.0, 30.0, (c, c))
+
+
+def test_solver_golden_digest():
+    digest = hashlib.sha256()
+    for matrix in golden_matrices():
+        result = solve_hungarian(matrix)
+        digest.update(np.asarray(result.permutation, dtype="<i8").tobytes())
+        digest.update(np.array([result.iterations], dtype="<i8").tobytes())
+        digest.update(np.array([result.total_cost], dtype="<f8").tobytes())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
 class TestSerialization:
     def test_text_round_trip(self, golden_matrix):
         text = matrix_to_text(golden_matrix)
@@ -504,3 +536,200 @@ class TestSerialization:
             CostMatrix([[1, 2], [3, np.nan]])
         with pytest.raises(EmptyInputError):
             CostMatrix(np.empty((0, 0)))
+
+    def test_load_matrix_decodes_utf8(self, tmp_path):
+        path = tmp_path / "nbsp.txt"
+        path.write_bytes("2\n1\u00a02\n3\u20034\n".encode("utf-8"))  # non-ASCII spaces
+        assert np.array_equal(load_matrix(path).entries, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_load_matrix_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2\r\n1 2\r\n3 \xe9\r\n")
+        with pytest.raises(MatrixParseError, match="0xe9") as info:
+            load_matrix(path)
+        assert info.value.line == 3
+
+
+def reference_from_text(text):
+    """The text parser with every value through `float()`, one token at a time."""
+    lines = text.splitlines()
+    if not lines or not lines[0].split():
+        raise MatrixParseError("missing size header", line=1, column=1)
+    header = lines[0].split()
+    if len(header) != 1:
+        raise MatrixParseError("size header must be a single integer", line=1, column=2)
+    try:
+        size = int(header[0])
+    except ValueError:
+        raise MatrixParseError(
+            f"size header {header[0]!r} is not an integer", line=1, column=1
+        ) from None
+    if size < 1:
+        raise MatrixParseError(f"matrix size must be >= 1, got {size}", line=1, column=1)
+    rows = np.empty((size, size), dtype=np.float64)
+    for r in range(size):
+        lineno = r + 2
+        if r + 1 >= len(lines):
+            raise MatrixParseError(
+                f"expected {size} rows, file ends after {r}", line=lineno, column=1
+            )
+        tokens = lines[r + 1].split()
+        if len(tokens) != size:
+            raise MatrixParseError(
+                f"row has {len(tokens)} values, expected {size}",
+                line=lineno,
+                column=min(len(tokens), size) + 1,
+            )
+        for c, token in enumerate(tokens):
+            try:
+                rows[r, c] = float(token)
+            except ValueError:
+                raise MatrixParseError(
+                    f"{token!r} is not a number", line=lineno, column=c + 1
+                ) from None
+    for extra in range(size + 1, len(lines)):
+        if lines[extra].split():
+            raise MatrixParseError("unexpected content after matrix", line=extra + 1, column=1)
+    return CostMatrix(rows)
+
+
+def parse_outcome(parse, text):
+    """Entry bytes on success; exception type, message, line and column on failure."""
+    try:
+        return parse(text).entries.tobytes()
+    except InvalidInputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+_SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+]
+
+
+@st.composite
+def value_tokens(draw):
+    """One finite float64 written in one of the ways a matrix file may hold it."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    x = draw(st.one_of(st.sampled_from(_SPECIAL_VALUES), finite))
+    style = draw(st.sampled_from(["repr", "g17", "e", "E", "f3", "int", "plus"]))
+    if style == "g17":
+        return f"{x:.17g}"
+    if style in ("e", "E"):
+        return format(x, ".6" + style)
+    if style == "f3" and abs(x) < 1e15:
+        return f"{x:.3f}"
+    if style == "int" and x.is_integer() and abs(x) < 1e18:
+        return str(int(x))
+    if style == "plus" and math.copysign(1.0, x) > 0:
+        return "+" + repr(x)
+    return repr(x)
+
+
+@st.composite
+def matrix_rows(draw):
+    """C and a C x C grid of valid value tokens."""
+    c = draw(st.integers(1, 6))
+    rows = [[draw(value_tokens()) for _ in range(c)] for _ in range(c)]
+    return c, rows
+
+
+def render(c, rows, draw):
+    """Matrix text: runs of spaces and tabs between tokens, padded lines,
+    LF, CRLF or CR newlines and up to two trailing blank lines."""
+    gap = st.text(alphabet=" \t", min_size=1, max_size=3)
+    pad = st.text(alphabet=" \t", max_size=2)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [draw(pad) + str(c) + draw(pad)]
+    for row in rows:
+        body = ""
+        for k, token in enumerate(row):
+            body += (draw(gap) if k else "") + token
+        lines.append(draw(pad) + body + draw(pad))
+    lines += [draw(pad) for _ in range(draw(st.integers(0, 2)))]  # trailing blank lines
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+_BAD_TOKENS = [
+    "abc", "#", "#1", "1_0", "\u0661\u0662", "\u0663.5", "nan", "inf", "-inf", "1e400",
+    "-1e400", "0x10", "1,5", "1e", "--1", "1.2.3", "\x00", "1d5",
+]
+
+
+@st.composite
+def mutated_texts(draw):
+    c, rows = draw(matrix_rows())
+    r = draw(st.integers(0, c - 1))
+    kind = draw(st.sampled_from(
+        ["token", "missing", "extra", "blank_row", "short", "trailing", "blank_body"]
+    ))
+    if kind == "token":
+        rows[r][draw(st.integers(0, c - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    elif kind == "missing":
+        del rows[r][draw(st.integers(0, c - 1))]
+    elif kind == "extra":
+        extra = st.one_of(value_tokens(), st.sampled_from(_BAD_TOKENS))
+        rows[r].insert(draw(st.integers(0, c)), draw(extra))
+    elif kind == "blank_row":
+        rows[r] = []
+    elif kind == "short":
+        del rows[r:]
+    elif kind == "trailing":
+        rows.append([draw(st.sampled_from(["0", "#", "x"]))])
+    else:
+        rows = [[] for _ in range(c)]
+    return render(c, rows, draw)
+
+
+class TestTextParse:
+    """The one-pass parser against the token loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_valid_text_is_bit_identical_and_one_pass(self, data):
+        c, rows = data.draw(matrix_rows())
+        text = render(c, rows, data.draw)
+        with warnings.catch_warnings(), mock.patch.object(
+            assignment, "_parse_tokens", side_effect=AssertionError("token loop used")
+        ):
+            warnings.simplefilter("error")
+            got = matrix_from_text(text).entries.tobytes()
+        assert got == parse_outcome(reference_from_text, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=mutated_texts())
+    def test_mutated_text_fails_identically(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_outcome(matrix_from_text, text) == parse_outcome(
+                reference_from_text, text
+            )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n1 2 #\n3 4\n",
+            "2\n1 2 #c\n3 4\n",
+            "2\n1 2\n\n3 4\n",
+            "2\n1 2\n3 4\n\n \t\n",
+            "2\n1 2\n3 4\nx\n",
+            "1\n1_0\n",
+            "2\n\u0661 2\n3\u00a04\n",
+            "2\n1 nan\n3 4\n",
+            "2\n1 -1e400\n3 4\n",
+        ],
+    )
+    def test_edge_cases_match_token_loop(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_outcome(matrix_from_text, text) == parse_outcome(
+                reference_from_text, text
+            )
+
+    @pytest.mark.parametrize("text", ["2\n\n\n", "2\n", "2\n \t\n\n", "1\n\n"])
+    def test_blank_body_raises_without_warning(self, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = parse_outcome(matrix_from_text, text)
+        assert caught == []
+        assert got == parse_outcome(reference_from_text, text)
+        assert got[0] is MatrixParseError

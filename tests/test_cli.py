@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sepmatch import matrix_to_text, read_wav, write_wav
+from sepmatch import AudioSignal, matrix_to_text, read_wav, write_wav
 from sepmatch.cli import main
 
 from conftest import sine
@@ -67,6 +67,13 @@ class TestSolve:
         code, out, err = run(capsys, ["solve", path])
         assert code == 2
         assert "line 2" in err and "column 2" in err
+
+    def test_size_header_beyond_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("3000000000\n1\n")
+        code, out, err = run(capsys, ["solve", path])
+        assert code == 2 and out == ""
+        assert "line 2" in err
 
     def test_missing_file_exit_4(self, capsys, tmp_path):
         code, _, err = run(capsys, ["solve", tmp_path / "absent.txt"])
@@ -280,6 +287,25 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(out)["mean_si_snr"] == 60.0
 
+    def test_mixed_lengths_score_as_pre_truncated(self, capsys, tmp_path):
+        # Targets, swapped estimates of other lengths, then the shortest mixture.
+        inputs = {"t0": (440, 1000), "t1": (700, 990), "e0": (700, 1003), "e1": (440, 985),
+                  "m": (600, 980)}
+        for name, (freq, n) in inputs.items():
+            signal = sine(freq, n=n)
+            write_wav(tmp_path / f"{name}.wav", signal)
+            write_wav(tmp_path / f"{name}_cut.wav", AudioSignal(signal.samples[:980], 8000))
+
+        def evaluate(suffix):
+            t0, t1, e0, e1, m = (tmp_path / f"{name}{suffix}.wav" for name in inputs)
+            argv = ["evaluate", "--targets", t0, t1, "--estimates", e0, e1, "--mixture", m]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            return out
+
+        assert evaluate("") == evaluate("_cut")
+        assert json.loads(evaluate(""))["permutation"] == [1, 0]
+
 
 class TestBenchCli:
     def test_jsonl_to_stdout(self, capsys):
@@ -344,3 +370,12 @@ class TestConfusionCli:
         pgm = (out_dir / "confusion.pgm").read_bytes()
         assert pgm.startswith(b"P5\n3 3\n255\n")
         assert json.loads((out_dir / "confusion.json").read_text())["matrix"]["size"] == 3
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "confusion"])
+def test_non_utf8_matrix_exit_2_names_line(capsys, tmp_path, subcommand):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2\n1 2\n3 \xff\n")
+    code, out, err = run(capsys, [subcommand, path])
+    assert code == 2 and out == ""
+    assert "not UTF-8" in err and "line 3" in err

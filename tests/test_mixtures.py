@@ -204,6 +204,12 @@ class TestTruncateToMin:
         (cut,) = truncate_to_min([signal])
         assert np.array_equal(cut.samples, signal.samples)
 
+    def test_uncut_signals_are_returned_as_is(self):
+        signals = [sine(300, n=100), sine(400, n=80), sine(500, n=80)]
+        cut = truncate_to_min(signals)
+        assert cut[1] is signals[1] and cut[2] is signals[2]
+        assert cut[0] is not signals[0]
+
     def test_rejects_empty_and_mixed_rates(self):
         with pytest.raises(EmptyInputError):
             truncate_to_min([])
