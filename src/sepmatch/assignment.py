@@ -14,6 +14,7 @@ that do not decode raise MatrixParseError with their line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -38,10 +39,9 @@ BRUTEFORCE_GUARD = 11
 #: Largest C that permutation_count reports.
 PERMUTATION_COUNT_MAX = 25
 
-# Full permutation tables are cached up to this size; larger sizes stream
-# lexicographic blocks instead of materializing all C! rows at once.
-_PERM_TABLE_MAX = 9
-_PERM_BLOCK = 240_000
+# Permutation tables are cached up to this size (8! rows, ~5 MB). Brute force
+# at larger C scores the tails of each lexicographic head against this table.
+_PERM_TABLE_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -334,40 +334,32 @@ def solve_bruteforce(matrix, guard: int = BRUTEFORCE_GUARD) -> AssignmentResult:
     )
 
 
-_PERM_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _permutation_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographic permutation table plus flat indices into a raveled matrix."""
-    if size not in _PERM_TABLES:
-        table = np.array(list(itertools.permutations(range(size))), dtype=np.intp)
-        flat = np.ascontiguousarray(table + (np.arange(size) * size)[None, :])
-        _PERM_TABLES[size] = (table, flat)
-    return _PERM_TABLES[size]
+    table = np.array(list(itertools.permutations(range(size))), dtype=np.intp)
+    flat = np.ascontiguousarray(table + (np.arange(size) * size)[None, :])
+    return table, flat
 
 
 def _enumerate_best(entries: np.ndarray) -> np.ndarray:
+    # Walk the lexicographic heads (the first C - t columns) and score all t!
+    # tails of each head at once on the sub-matrix of the remaining rows and
+    # columns. For C <= t the only head is empty. Heads and tails both run in
+    # lexicographic order, so the strict < keeps the first optimum.
     size = entries.shape[0]
-    if size <= _PERM_TABLE_MAX:
-        table, flat = _permutation_table(size)
-        costs = entries.ravel()[flat].sum(axis=1)
-        return table[int(costs.argmin())].copy()
-    # Stream lexicographic blocks so 10! and 11! never sit in memory whole.
-    rows = np.arange(size)
-    stream = itertools.permutations(range(size))
-    best_cost = np.inf
-    best: np.ndarray | None = None
-    while True:
-        block = list(itertools.islice(stream, _PERM_BLOCK))
-        if not block:
-            break
-        table = np.asarray(block, dtype=np.intp)
-        costs = entries[rows, table].sum(axis=1)
+    tail = min(size, _PERM_TABLE_MAX)
+    table, flat = _permutation_table(tail)
+    cols = np.arange(size)
+    best_cost, best = np.inf, cols.copy()
+    for head in itertools.permutations(range(size), size - tail):
+        rest = np.delete(cols, head)
+        costs = entries[size - tail :, rest].ravel()[flat].sum(axis=1)
+        costs += entries[cols[: size - tail], head].sum()
         k = int(costs.argmin())
-        if costs[k] < best_cost:  # strict: keeps the lexicographically first optimum
-            best_cost = float(costs[k])
-            best = table[k].copy()
-    assert best is not None
+        if costs[k] < best_cost:
+            best_cost = costs[k]
+            best[:] = (*head, *rest[table[k]])
     return best
 
 
@@ -557,6 +549,8 @@ def matrix_from_json(text: str) -> CostMatrix:
         raise MatrixParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except RecursionError:
+        raise MatrixParseError("invalid JSON: arrays or objects nest too deeply") from None
     if not isinstance(payload, dict) or "size" not in payload or "entries" not in payload:
         raise MatrixParseError('JSON matrix needs "size" and "entries" fields')
     matrix = CostMatrix(payload["entries"])

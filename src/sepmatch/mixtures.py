@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .metrics import AudioSignal, _check_aligned
-from .wavio import MAX_WRITE_RATE, read_wav
+from .wavio import MAX_WAV_SAMPLES, MAX_WRITE_RATE, read_wav
 
 #: Generated sources are peak-normalized to this amplitude.
 PEAK_AMPLITUDE = 0.9
@@ -75,7 +75,12 @@ def _snr_range(value) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Recipe for one synthetic instance: C sources at a rate, duration, SNR spread."""
+    """Recipe for one synthetic instance: C sources at a rate, duration, SNR spread.
+
+    Each source must fit one 16-bit mono WAV: `sample_rate` up to
+    `wavio.MAX_WRITE_RATE` and `duration * sample_rate` up to
+    `wavio.MAX_WAV_SAMPLES`.
+    """
 
     num_sources: int
     sample_rate: int = 8000
@@ -92,6 +97,11 @@ class MixSpec:
             )
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive, got {self.duration}")
+        if self.duration * self.sample_rate > MAX_WAV_SAMPLES:
+            raise InvalidInputError(
+                f"duration * sample_rate must be at most {MAX_WAV_SAMPLES} samples "
+                f"(one 16-bit WAV), got {self.duration * self.sample_rate:g}"
+            )
         object.__setattr__(self, "snr_range", _snr_range(self.snr_range))
         if self.num_samples < 1:
             raise InvalidInputError("duration * sample_rate rounds to zero samples")

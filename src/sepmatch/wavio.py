@@ -35,6 +35,10 @@ _DECODERS = {
 #: rate, 2 x sample rate, as a u32.
 MAX_WRITE_RATE = (2**32 - 1) // 2
 
+#: Most samples one 16-bit mono WAV holds: the RIFF size, 36 + 2 x samples,
+#: is a u32.
+MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
+
 _FORMAT_NAMES = {
     0x0000: "unknown",
     0x0001: "PCM",

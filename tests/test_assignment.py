@@ -267,7 +267,6 @@ class TestBruteforce:
     def test_streaming_blocks_match_table_path(self, monkeypatch):
         # Force the block-streaming path onto small sizes and cross-check it.
         monkeypatch.setattr(assignment, "_PERM_TABLE_MAX", 2)
-        monkeypatch.setattr(assignment, "_PERM_BLOCK", 7)
         rng = np.random.default_rng(21)
         for _ in range(20):
             matrix = rng.uniform(-30.0, 30.0, (5, 5))
@@ -464,6 +463,39 @@ def test_solver_golden_digest():
         digest.update(np.array([result.iterations], dtype="<i8").tobytes())
         digest.update(np.array([result.total_cost], dtype="<f8").tobytes())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# sha256 over (permutation, iterations, total_cost) of `solve_bruteforce` on
+# `oracle_matrices()`, recorded from the enumeration that read a cached 9!
+# table up to C = 9 and streamed itertools blocks at C = 10 and 11.
+ORACLE_DIGEST = "af911740ae70598f6f4e8a11f5f12b57152e5a34b9ceae43ab1698b14b54bc82"
+
+
+def oracle_matrices():
+    """Seeded uniform, {0, 1, 2}, {0, 1} and rank-1 matrices, C = 1 to 11."""
+    for c in range(1, 10):
+        rng = np.random.default_rng(2000 + c)
+        yield rng.uniform(-30.0, 30.0, (c, c))
+        yield rng.integers(0, 3, (c, c)).astype(np.float64)
+        yield rng.integers(0, 2, (c, c)).astype(np.float64)
+        yield rng.uniform(-3.0, 3.0, (c, 1)) * rng.uniform(-3.0, 3.0, (1, c))
+    for c in (10, 11):
+        rng = np.random.default_rng(2000 + c)
+        yield rng.uniform(-30.0, 30.0, (c, c))
+        yield rng.integers(0, 3, (c, c)).astype(np.float64)
+    yield np.zeros((11, 11))
+
+
+def test_bruteforce_golden_digest():
+    digest = hashlib.sha256()
+    for matrix in oracle_matrices():
+        result = solve_bruteforce(matrix)
+        digest.update(np.asarray(result.permutation, dtype="<i8").tobytes())
+        digest.update(np.array([result.iterations], dtype="<i8").tobytes())
+        digest.update(np.array([result.total_cost], dtype="<f8").tobytes())
+    # All-zero: every permutation ties, and the lexicographic first is the identity.
+    assert list(result.permutation) == list(range(11))
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 class TestSerialization:

@@ -147,6 +147,17 @@ class TestMix:
         assert "sample_rate" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("duration", [1e300, 1e308])
+    def test_duration_beyond_one_wav_exit_2(self, capsys, tmp_path, duration):
+        # Used to die in MixSpec.num_samples (OverflowError) or in numpy's allocation.
+        out_dir = tmp_path / "long"
+        code, out, err = run(
+            capsys, ["mix", "--num-sources", 2, "--duration", duration, "--out-dir", out_dir]
+        )
+        assert code == 2 and out == ""
+        assert "duration * sample_rate" in err
+        assert not out_dir.exists()
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -379,3 +390,13 @@ def test_non_utf8_matrix_exit_2_names_line(capsys, tmp_path, subcommand):
     code, out, err = run(capsys, [subcommand, path])
     assert code == 2 and out == ""
     assert "not UTF-8" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "confusion"])
+def test_deeply_nested_json_exit_2(capsys, tmp_path, subcommand):
+    # json.loads used to escape as a RecursionError traceback.
+    path = tmp_path / "deep.json"
+    path.write_text('{"size": 1, "entries": ' + "[" * 10_000)
+    code, out, err = run(capsys, [subcommand, path])
+    assert code == 2 and out == ""
+    assert "nest too deeply" in err

@@ -9,11 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 04_benchmark_sweep.py is left out: it takes about 30 s.
 QUICK_DEMOS = [
     "01_assignment_solvers.py",
     "02_separation_metrics.py",
     "03_mixtures_and_wav.py",
+    "04_benchmark_sweep.py",
     "05_confusion_export.py",
 ]
 
