@@ -8,6 +8,7 @@ stdout (or named files); stderr carries diagnostics only.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -170,6 +171,7 @@ def _cmd_confusion(args) -> None:
     print(export.to_json())
 
 
+@functools.cache  # built once per process; parse_args leaves the tree unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepmatch",

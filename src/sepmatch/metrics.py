@@ -142,8 +142,13 @@ def _si_snr_matrix(targets, estimates) -> np.ndarray:
         overflow = ~(np.isfinite(gram) & np.isfinite(tt) & np.isfinite(ee))
         # A constant signal is zero-energy once mean-removed, but float rounding
         # leaves ~1e-16-per-sample residue; threshold relative to the raw peak.
-        peaks = np.array([max(row.max(), -row.min()) for row in rows])
-        silent = np.sqrt(power) <= 1e-12 * math.sqrt(size) * peaks
+        # Every sample lies within sqrt(power) of the mean, so a row whose norm
+        # clears the threshold at twice |mean| + sqrt(power), a peak bound with
+        # room for rounding, is not silent; only the others are read for a peak.
+        norms, floor = np.sqrt(power), 1e-12 * math.sqrt(size)
+        silent = ~(norms > floor * (2.0 * (np.abs(means) + norms)))
+        for k in np.flatnonzero(silent):
+            silent[k] = norms[k] <= floor * max(rows[k].max(), -rows[k].min())
         bad = np.argwhere(overflow | silent[:nt, None])
         if bad.size:
             i, j = bad[0]

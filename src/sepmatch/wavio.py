@@ -2,9 +2,10 @@
 
 Reads 16-bit PCM and 32-bit IEEE float payloads, from plain or
 WAVE_FORMAT_EXTENSIBLE headers (first channel of multichannel files);
-writes mono 16-bit PCM with no dithering. Kept dependency-free so the
-error surface (malformed headers, named unsupported encodings) stays
-exact.
+writes mono 16-bit PCM with no dithering. The reader walks the chunks as
+views of the file's bytes and copies a payload only when it decodes it.
+Kept dependency-free so the error surface (malformed headers, named
+unsupported encodings) stays exact.
 """
 
 from __future__ import annotations
@@ -25,10 +26,17 @@ _EXTENSIBLE = 0xFFFE
 #: leading format code, as in KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT.
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
-#: Decodable (format code, bits): payload dtype and its map to float64 samples.
+
+def _clipped(frames: np.ndarray) -> np.ndarray:
+    samples = frames.astype(np.float64)
+    return np.clip(samples, -1.0, 1.0, out=samples)
+
+
+#: Decodable (format code, bits): payload dtype and its map to new float64
+#: samples. Scaling by 2**-15 is exact, so it equals division by 32768.
 _DECODERS = {
-    (_PCM, 16): ("<i2", lambda frames: frames / 32768.0),
-    (_IEEE_FLOAT, 32): ("<f4", lambda frames: np.clip(frames.astype(np.float64), -1.0, 1.0)),
+    (_PCM, 16): ("<i2", lambda frames: np.multiply(frames, 2.0**-15)),
+    (_IEEE_FLOAT, 32): ("<f4", _clipped),
 }
 
 #: Highest rate `write_wav` accepts: the 16-bit mono header stores the byte
@@ -60,14 +68,14 @@ def read_wav(path) -> AudioSignal:
     problems surface as OSError.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = memoryview(path.read_bytes())
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: malformed header (not a RIFF/WAVE file)")
     fmt = None
     payload = None
     offset = 12
     while offset + 8 <= len(data):
-        chunk_id = data[offset : offset + 4]
+        chunk_id = bytes(data[offset : offset + 4])
         (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
         body = data[offset + 8 : offset + 8 + chunk_size]
         if len(body) < chunk_size:
@@ -114,12 +122,13 @@ def write_wav(path, signal: AudioSignal) -> None:
             f"{path}: sample rate {signal.sample_rate} Hz does not fit a 16-bit WAV header "
             f"(max {MAX_WRITE_RATE} Hz)"
         )
-    quantized = np.clip(np.round(signal.samples * 32768.0), -32768, 32767).astype("<i2")
-    payload = quantized.tobytes()
+    scaled = np.multiply(signal.samples, 32768.0)
+    np.round(scaled, out=scaled)
+    quantized = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + quantized.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -130,6 +139,8 @@ def write_wav(path, signal: AudioSignal) -> None:
         2,
         16,
         b"data",
-        len(payload),
+        quantized.nbytes,
     )
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as out:
+        out.write(header)
+        out.write(quantized)

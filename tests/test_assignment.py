@@ -264,15 +264,16 @@ class TestBruteforce:
         result = solve_bruteforce(np.zeros((4, 4)))
         assert list(result.permutation) == [0, 1, 2, 3]
 
-    def test_streaming_blocks_match_table_path(self, monkeypatch):
-        # Force the block-streaming path onto small sizes and cross-check it.
+    def test_head_loop_matches_table_path(self, monkeypatch):
+        # Force the head loop onto small sizes and cross-check it: with a
+        # 2-column table, C = 5 walks 60 three-column heads of 2 tails each.
         monkeypatch.setattr(assignment, "_PERM_TABLE_MAX", 2)
         rng = np.random.default_rng(21)
         for _ in range(20):
             matrix = rng.uniform(-30.0, 30.0, (5, 5))
-            streamed = solve_bruteforce(matrix)
-            assert abs(streamed.total_cost - solve_hungarian(matrix).total_cost) <= 1e-9
-            assert streamed.iterations == 120
+            looped = solve_bruteforce(matrix)
+            assert abs(looped.total_cost - solve_hungarian(matrix).total_cost) <= 1e-9
+            assert looped.iterations == 120
 
 
 class TestSinkhorn:

@@ -1,12 +1,19 @@
+import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sepmatch
 from sepmatch import AudioSignal, matrix_to_text, read_wav, write_wav
 from sepmatch.cli import main
 
-from conftest import sine
+from conftest import LAYOUTS, encode_wav, sine
 
 
 @pytest.fixture
@@ -400,3 +407,121 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, subcommand):
     code, out, err = run(capsys, [subcommand, path])
     assert code == 2 and out == ""
     assert "nest too deeply" in err
+
+
+def test_parser_reuse_leaks_nothing(capsys, monkeypatch, tmp_path, golden_file):
+    # One process parses every command with the same cached parser; each
+    # output must equal that of the command run alone in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    wavs = [tmp_path / f"{k}.wav" for k in range(3)]
+    for path, freq in zip(wavs, (440, 1300, 870)):
+        write_wav(path, sine(freq, n=800))
+    commands = [
+        ["solve", golden_file, "--format", "text"],
+        ["solve", golden_file],
+        ["solve", golden_file, "--solver", "simplex"],
+        ["evaluate", "--targets", *wavs[:2], "--estimates", *wavs[1::-1], "--mixture", wavs[2]],
+        ["mix", "--num-sources", 3, "--duration", 0.25, "--out-dir", tmp_path / "mix"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(sepmatch.__file__).parents[1])}
+
+    def untimed(text):
+        return re.sub(r'(elapsed_ns"?: )\d+', r"\1-", text)
+
+    for argv in commands:
+        try:
+            together = run(capsys, argv)
+        except SystemExit as exc:
+            together = (exc.code, *capsys.readouterr())
+        alone = subprocess.run(
+            [sys.executable, "-m", "sepmatch.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert together[0] == alone.returncode, argv
+        assert untimed(together[1]) == untimed(alone.stdout), argv
+        assert together[2] == alone.stderr, argv
+    assert together[0] == 0 and json.loads(together[1])["num_sources"] == 3
+
+
+def evaluate_corpus(out_dir, c, seed, silent_target=False):
+    """`evaluate` argv over a seeded C-source corpus written in mixed layouts.
+
+    Lengths differ by up to 7 samples. The last target is near-silent (a DC
+    offset plus 1-LSB dither), or constant with `silent_target`; the first
+    estimate is constant and scores the clamp floor.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2000 + 8
+    t = np.arange(n) / 8000
+    targets = [
+        0.3 * np.sin(2 * np.pi * rng.uniform(100, 3000) * t + rng.uniform(0, 6.3))
+        + 0.05 * rng.standard_normal(n)
+        for _ in range(c)
+    ]
+    targets[-1] = np.full(n, 0.5) if silent_target else 0.5 + rng.integers(-1, 2, n) / 32767
+    estimates = [targets[k] + rng.uniform(0.01, 0.3) * rng.standard_normal(n)
+                 for k in rng.permutation(c)]
+    estimates[0] = np.full(n, 0.25)
+    out_dir.mkdir()
+    paths = []
+    for k, samples in enumerate([*targets, *estimates, sum(targets) / c]):
+        path = out_dir / f"{k:02d}.wav"
+        cut = np.clip(samples[: n - int(rng.integers(0, 8))], -1.0, 1.0)
+        path.write_bytes(encode_wav(cut, LAYOUTS[(k + seed) % len(LAYOUTS)]))
+        paths.append(path)
+    return ["evaluate", "--targets", *paths[:c], "--estimates", *paths[c:-1],
+            "--mixture", paths[-1]]
+
+
+def evaluate_digests(tmp_path, capsys):
+    """sha256 of each corpus's exit code, stdout and stderr."""
+    cases = {"c2": (2, 81, False), "c5": (5, 82, False), "c20": (20, 83, False),
+             "silent_target": (2, 84, True)}
+    digests = {}
+    for name, (c, seed, silent) in cases.items():
+        code, out, err = run(capsys, evaluate_corpus(tmp_path / name, c, seed, silent))
+        digests[name] = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+    return digests
+
+
+def mix_digests(tmp_path, capsys):
+    """sha256 of each `mix` run's stdout and every file it writes, by name."""
+    cases = {"c2": [2, "--seed", 7],
+             "c5": [5, "--seed", 8, "--sample-rate", 16000, "--duration", 0.37,
+                    "--snr-low", -5, "--snr-high", 10],
+             "c20": [20, "--seed", 9]}
+    digests = {}
+    for name, args in cases.items():
+        out_dir = tmp_path / name
+        code, out, _ = run(capsys, ["mix", "--num-sources", *args, "--out-dir", out_dir])
+        digest = hashlib.sha256(f"{code}\n{out}".encode())
+        for path in sorted(out_dir.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+class TestGoldenBytes:
+    # Recorded by running the code before WAV chunks were read as views and
+    # before silent rows were ruled out by a peak bound. Scores and mixtures
+    # pass through BLAS, so another BLAS kernel or CPU may round their last
+    # bits differently; there, record them again from the commit that added them.
+
+    def test_evaluate_stdout(self, capsys, tmp_path):
+        assert evaluate_digests(tmp_path, capsys) == EVALUATE_DIGESTS
+
+    def test_mix_files(self, capsys, tmp_path):
+        assert mix_digests(tmp_path, capsys) == MIX_DIGESTS
+
+
+EVALUATE_DIGESTS = {
+    "c2": "ed5f73f0128f24fd490fa982a5e379fd30bbe7039ab704242e9cbdadbd7658f7",
+    "c5": "c5d2ed3fbef52f069d80a1dd94334066cd27090327e8587dbc7edbd0b41a39cb",
+    "c20": "f332beb27d16169f8d2847179f39d1b4cfc132c13959863a9c19ad5cbc877cfe",
+    "silent_target": "1c274cc66bac1407814242abf98abbe7b425773a938b5197ae906846453b9041",
+}
+MIX_DIGESTS = {
+    "c2": "204248ee7834d0aefef29ededa7c653fcc7c1e50797be1f844e7888ab0010bfc",
+    "c5": "6d84bda3cf184aa9578595fb4406ba115beb2a56b3998025da2dd84d9f4d3b2d",
+    "c20": "4254be008f696fcabbd7d56a942db005e78207a09f2ccec9c00707651524159e",
+}

@@ -93,6 +93,21 @@ class TestSiSnr:
         with pytest.raises(InvalidInputError, match="zero energy"):
             si_snr(np.full(64, 0.3), sine(440, n=64).samples)
 
+    @pytest.mark.parametrize("dc", [1.0, -3.0])
+    @pytest.mark.parametrize("ratio", [0.3, 0.6, 0.9, 1.1, 1.9, 3.5])
+    def test_silence_threshold_uses_the_exact_peak(self, dc, ratio):
+        # One spike on a DC row puts its mean-removed norm at `ratio` times the
+        # silence threshold 1e-12 * sqrt(n) * peak, where the peak is ~|dc|.
+        n = 64
+        row = np.full(n, dc)
+        row[5] += ratio * 1e-12 * np.sqrt(n) * abs(dc) / np.sqrt(1 - 1 / n)
+        probe = sine(440, n=n).samples
+        if ratio < 1:
+            with pytest.raises(InvalidInputError, match="zero energy"):
+                si_snr(row, probe)
+        else:
+            assert np.isfinite(si_snr(row, probe))
+
     def test_energy_overflow_rejected(self):
         huge = 1e160 * np.sin(np.arange(100.0))
         probe = np.sin(np.arange(100.0)) + 0.5

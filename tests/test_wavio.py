@@ -2,10 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sepmatch import AudioSignal, WavFormatError, read_wav, write_wav
+from sepmatch.cli import main
 
-from conftest import sine
+from conftest import GUID_TAIL, LAYOUTS, encode_wav, riff_bytes, sine
 
 
 def wav_bytes(fmt=1, channels=1, rate=8000, bits=16, payload=b""):
@@ -26,9 +29,6 @@ def wav_bytes(fmt=1, channels=1, rate=8000, bits=16, payload=b""):
         b"data",
         len(payload),
     ) + payload
-
-
-GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def extensible_wav_bytes(sub_format, bits, payload, channels=1, guid_tail=GUID_TAIL):
@@ -148,3 +148,73 @@ class TestRead:
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             read_wav(tmp_path / "absent.wav")
+
+
+class TestChunkWalk:
+    SAMPLES = np.array([0.0, 0.5, -0.5, 0.999, -1.0])
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_data_after_odd_list_chunk_matches_plain(self, tmp_path, encoding):
+        plain, listed = tmp_path / "plain.wav", tmp_path / "listed.wav"
+        plain.write_bytes(encode_wav(self.SAMPLES, f"plain_{encoding}"))
+        blob = encode_wav(self.SAMPLES, f"list_{encoding}")
+        assert (blob.index(b"data") + 8) % 4 == 2  # the payload is not 4-byte aligned
+        listed.write_bytes(blob)
+        want, got = read_wav(plain), read_wav(listed)
+        assert got.sample_rate == want.sample_rate
+        assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_samples_do_not_hold_the_file_bytes(self, tmp_path, layout):
+        path = tmp_path / "owned.wav"
+        path.write_bytes(encode_wav(self.SAMPLES, layout))
+        samples = read_wav(path).samples
+        assert samples.base is None and samples.flags.writeable
+
+
+#: Values for a mutated chunk size: odd, one short or long, and far beyond the file.
+SIZES = st.sampled_from([0, 1, 3, 15, 17, 39, 41, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def mutated_wav(draw):
+    """A small valid WAV with its chunks reordered, padded out, resized or cut."""
+    float32 = draw(st.booleans())
+    fmt_code, bits = (3, 32) if float32 else (1, 16)
+    channels = draw(st.sampled_from([1, 2]))
+    samples = np.sin(np.arange(64) * draw(st.floats(0.05, 3.0))) * 0.5
+    frames = np.repeat(samples, channels)
+    payload = (frames.astype("<f4") if float32 else np.round(frames * 32767).astype("<i2")).tobytes()
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", fmt_code, channels, 8000, 8000 * block, block, bits)
+    chunks = [(b"fmt ", fmt), (b"data", payload)]
+    if draw(st.booleans()):
+        chunks.reverse()  # fmt after data
+    if draw(st.booleans()):
+        chunks.insert(draw(st.integers(0, 2)), (b"junk", draw(st.binary(max_size=9))))
+    blob = bytearray(riff_bytes(*chunks))
+    size_fields, offset = [4], 12
+    for _, body in chunks:
+        size_fields.append(offset + 4)
+        offset += 8 + len(body) + (len(body) & 1)
+    for _ in range(draw(st.integers(0, 2))):
+        struct.pack_into("<I", blob, draw(st.sampled_from(size_fields)), draw(SIZES))
+    for _ in range(draw(st.integers(0, 2))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob)
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(victim=st.integers(0, 4), blob=mutated_wav())
+def test_mutated_wav_never_escapes_exit_codes(tmp_path, capsys, victim, blob):
+    targets = [sine(440, n=64), sine(1300, n=64)]
+    files = [*targets, *reversed(targets), AudioSignal(targets[0].samples / 2, 8000)]
+    paths = [tmp_path / f"{k}.wav" for k in range(5)]
+    for path, signal in zip(paths, files):
+        write_wav(path, signal)
+    paths[victim].write_bytes(blob)
+    code = main(["evaluate", "--targets", *map(str, paths[:2]),
+                 "--estimates", *map(str, paths[2:4]), "--mixture", str(paths[4])])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4) and "Traceback" not in err
