@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -39,6 +39,9 @@ SOLVER_NAMES = ("hungarian", "bruteforce", "sinkhorn")
 
 CSV_HEADER = "solver,c,trials,median_ns,p95_ns,mean_iterations,permutations,skipped"
 
+#: The most float64 entries one numpy array can hold: its byte size must fit in intp.
+_MAX_FLOAT64_ENTRIES = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -58,9 +61,6 @@ class BenchReport:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials}")
         if self.median_ns > self.p95_ns:
             raise InvalidInputError("median_ns exceeds p95_ns")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,10 @@ class ConfusionExport:
 
 
 def _random_matrices(c: int, trials: int, seed: int) -> np.ndarray:
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if trials * c * c > _MAX_FLOAT64_ENTRIES:
+        raise InvalidInputError(f"trials={trials} at C={c} is past numpy's largest float64 array")
     # Child stream per C: reports do not depend on the order of c_values.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
     return rng.uniform(ENTRY_RANGE[0], ENTRY_RANGE[1], size=(trials, c, c))
@@ -125,8 +129,6 @@ def sweep_solvers(
         raise EmptyInputError("c_values is empty")
     if any(c < 1 for c in c_values):
         raise InvalidInputError(f"c_values must be positive: {c_values}")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
     config = sinkhorn_config or SinkhornConfig()
     solvers = {
         "hungarian": solve_hungarian,
@@ -137,23 +139,13 @@ def sweep_solvers(
     for c in c_values:
         matrices = _random_matrices(c, trials, seed)
         for name in SOLVER_NAMES:
+            skipped = None
             if name == "bruteforce" and c > guard:
-                reports.append(
-                    BenchReport(
-                        solver=name,
-                        c=c,
-                        trials=trials,
-                        median_ns=0,
-                        p95_ns=0,
-                        mean_iterations=0.0,
-                        permutation_count=math.factorial(c),
-                        skipped=f"C={c} exceeds brute-force guard {guard}",
-                    )
-                )
-                continue
-            results = [solvers[name](m) for m in matrices]
-            times = np.array([r.elapsed_ns for r in results], dtype=np.int64)
-            mean_iters = float(np.mean([float(r.iterations) for r in results]))
+                skipped = f"C={c} exceeds brute-force guard {guard}"
+            results = [] if skipped else [solvers[name](m) for m in matrices]
+            # A skipped cell has no results and reports zeros in their place.
+            times = np.array([r.elapsed_ns for r in results] or [0], dtype=np.int64)
+            mean_iters = float(np.mean([float(r.iterations) for r in results] or [0.0]))
             reports.append(
                 BenchReport(
                     solver=name,
@@ -163,6 +155,7 @@ def sweep_solvers(
                     p95_ns=int(np.percentile(times, 95)),
                     mean_iterations=mean_iters,
                     permutation_count=math.factorial(c),
+                    skipped=skipped,
                 )
             )
     return reports
@@ -182,11 +175,9 @@ def iteration_profile(difficulty_sweep, c: int, trials: int, seed: int = 0) -> l
         raise InvalidInputError(f"difficulties must lie in [0, 1]: {difficulties}")
     if c < 2:
         raise InvalidInputError(f"c must be >= 2, got {c}")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    randoms = _random_matrices(c, trials, seed)
     template = np.full((c, c), _TEMPLATE_MARGIN)
     np.fill_diagonal(template, 0.0)
-    randoms = _random_matrices(c, trials, seed)
     points = []
     for d in difficulties:
         results = solve_batch((1.0 - d) * template + d * randoms)
@@ -211,25 +202,14 @@ def export_confusion(matrix) -> ConfusionExport:
 
 
 def reports_to_jsonl(reports) -> str:
-    """One BenchReport per line, JSON-encoded."""
-    return "".join(json.dumps(r.to_dict()) + "\n" for r in reports)
+    """One report dataclass (`BenchReport`, `ProfilePoint`) per line, JSON-encoded."""
+    return "".join(json.dumps(asdict(r)) + "\n" for r in reports)
 
 
 def reports_to_csv(reports) -> str:
+    """`CSV_HEADER`, then one `BenchReport` per row in field order; `None` is empty."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER.split(","))
-    for r in reports:
-        writer.writerow(
-            [
-                r.solver,
-                r.c,
-                r.trials,
-                r.median_ns,
-                r.p95_ns,
-                r.mean_iterations,
-                r.permutation_count,
-                r.skipped or "",
-            ]
-        )
+    writer.writerows(astuple(r) for r in reports)
     return buf.getvalue()

@@ -132,31 +132,28 @@ def _parse_list(text: str, convert) -> list:
 
 def _cmd_bench(args) -> None:
     c_values = _parse_list(args.c_values, int)
-    if args.profile_difficulties is not None:
+    if args.profile_difficulties is None:
+        stem = "reports"
+        reports = sweep_solvers(c_values, args.trials, seed=args.seed, guard=args.guard)
+    else:
         if len(c_values) != 1:
             raise InvalidInputError("--profile-difficulties needs exactly one value in --c-values")
-        points = iteration_profile(
+        stem = "profile"
+        reports = iteration_profile(
             _parse_list(args.profile_difficulties, float), c_values[0], args.trials, args.seed
         )
-        if args.format == "csv":
-            body = "difficulty,mean_iterations\n" + "".join(
-                f"{p.difficulty},{p.mean_iterations}\n" for p in points
-            )
-        else:
-            body = "".join(
-                json.dumps({"difficulty": p.difficulty, "mean_iterations": p.mean_iterations})
-                + "\n"
-                for p in points
-            )
-        out_name = "profile.csv" if args.format == "csv" else "profile.jsonl"
+    if args.format == "json":
+        body = reports_to_jsonl(reports)
+    elif stem == "reports":
+        body = reports_to_csv(reports)
     else:
-        reports = sweep_solvers(c_values, args.trials, seed=args.seed, guard=args.guard)
-        body = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
-        out_name = "reports.csv" if args.format == "csv" else "reports.jsonl"
+        body = "difficulty,mean_iterations\n" + "".join(
+            f"{p.difficulty},{p.mean_iterations}\n" for p in reports
+        )
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / out_name).write_text(body)
+        (out_dir / f"{stem}.{'jsonl' if args.format == 'json' else 'csv'}").write_text(body)
     else:
         sys.stdout.write(body)
 

@@ -76,6 +76,11 @@ class TestSweep:
             sweep_solvers([0], trials=1)
         with pytest.raises(InvalidInputError):
             sweep_solvers([4], trials=0)
+        # Past numpy's largest array: refused before anything is allocated.
+        with pytest.raises(InvalidInputError, match="trials=10{21} at C=4 "):
+            sweep_solvers([4], trials=10**21)
+        with pytest.raises(InvalidInputError, match="trials=1 at C=10000000000 "):
+            sweep_solvers([10**10], trials=1)
 
     def test_sinkhorn_config_forwarded(self):
         reports = sweep_solvers([4], trials=2, seed=0, sinkhorn_config=SinkhornConfig(iterations=7))
@@ -101,6 +106,10 @@ class TestIterationProfile:
             iteration_profile([0.5], c=1, trials=1)
         with pytest.raises(InvalidInputError):
             iteration_profile([0.5], c=4, trials=0)
+        with pytest.raises(InvalidInputError, match="trials=10{21} at C=4 "):
+            iteration_profile([0.5], c=4, trials=10**21)
+        with pytest.raises(InvalidInputError, match="trials=1 at C=10000000000 "):
+            iteration_profile([0.5], c=10**10, trials=1)
 
 
 class TestConfusionExport:

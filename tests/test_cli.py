@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sepmatch
-from sepmatch import AudioSignal, matrix_to_text, read_wav, write_wav
+from sepmatch import AudioSignal, matrix_to_json, matrix_to_text, read_wav, write_wav
 from sepmatch.cli import main
 
 from conftest import LAYOUTS, encode_wav, sine
@@ -375,6 +377,16 @@ class TestBenchCli:
         )
         assert code == 2 and "0,x" in err
 
+    @pytest.mark.parametrize("profile", [[], ["--profile-difficulties", "0,1"]])
+    @pytest.mark.parametrize("c, trials", [(4, 10**21), (10**10, 1)])
+    def test_stack_past_numpy_limit_exit_2(self, capsys, profile, c, trials):
+        # Used to exit 1 with numpy's "Maximum allowed dimension exceeded" or
+        # "array is too big". Both sizes are refused before any allocation.
+        argv = ["bench", "--c-values", c, "--trials", trials, *profile]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"trials={trials} at C={c} " in err
+
 
 class TestConfusionCli:
     def test_stdout_json_and_out_dir(self, capsys, tmp_path, golden_matrix):
@@ -407,6 +419,41 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, subcommand):
     code, out, err = run(capsys, [subcommand, path])
     assert code == 2 and out == ""
     assert "nest too deeply" in err
+
+
+@st.composite
+def mutated_matrix_files(draw):
+    """A valid text or JSON matrix file of C <= 4 with one to four bytes edited."""
+    c = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.floats(-1e3, 1e3), min_size=c * c, max_size=c * c))
+    encode = draw(st.sampled_from([matrix_to_text, matrix_to_json]))
+    data = bytearray(encode(np.reshape(entries, (c, c))).encode())
+    kinds = st.sampled_from(["set", "insert", "delete"])
+    edits = st.tuples(kinds, st.integers(0), st.integers(0, 255))
+    for kind, at, byte in draw(st.lists(edits, min_size=1, max_size=4)):
+        at %= len(data) + (kind == "insert")
+        if kind == "set":
+            data[at] = byte
+        elif kind == "insert":
+            data.insert(at, byte)
+        elif len(data) > 1:
+            del data[at]
+    return bytes(data)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_matrix_files())
+def test_mutated_matrix_file_exits_with_documented_code(capsys, tmp_path, data):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    for subcommand in ("solve", "confusion"):
+        code, out, err = run(capsys, [subcommand, path])
+        assert code in (0, 2, 3, 4), (subcommand, data)
+        if code == 0:
+            json.loads(out)
+        else:
+            assert out == "" and err.startswith("error: "), (subcommand, data)
 
 
 def test_parser_reuse_leaks_nothing(capsys, monkeypatch, tmp_path, golden_file):
@@ -501,17 +548,47 @@ def mix_digests(tmp_path, capsys):
     return digests
 
 
+def untimed_bench(text):
+    """`bench` output with `median_ns` and `p95_ns` masked, in JSONL and in CSV."""
+    text = re.sub(r'("(?:median|p95)_ns": )\d+', r"\1-", text)
+    return re.sub(r"^((?:[^,\r\n]*,){3})\d+,\d+,", r"\1-,-,", text, flags=re.M)
+
+
+def bench_digests(tmp_path, capsys):
+    """sha256 of each `bench` mode's exit code, stderr, stdout and report file."""
+    modes = {"profile": ["--c-values", 5, "--trials", 40, "--profile-difficulties", "0,0.5,1"],
+             "sweep": ["--c-values", "4,12", "--trials", 3]}
+    digests = {}
+    for mode, args in modes.items():
+        for fmt in ("json", "csv"):
+            argv = ["bench", *args, "--format", fmt]
+            out_dir = tmp_path / f"{mode}_{fmt}"
+            digest = hashlib.sha256()
+            for code, out, err in (run(capsys, argv), run(capsys, [*argv, "--out-dir", out_dir])):
+                digest.update(f"{code}\n{err}\n{untimed_bench(out)}\0".encode())
+            (path,) = out_dir.iterdir()
+            digest.update(path.name.encode() + b"\0")
+            digest.update(untimed_bench(path.read_bytes().decode()).encode())
+            digests[f"{mode}_{fmt}"] = digest.hexdigest()
+    return digests
+
+
 class TestGoldenBytes:
     # Recorded by running the code before WAV chunks were read as views and
     # before silent rows were ruled out by a peak bound. Scores and mixtures
     # pass through BLAS, so another BLAS kernel or CPU may round their last
     # bits differently; there, record them again from the commit that added them.
+    # The bench digests were recorded by running the code before `sepmatch.bench`
+    # had one report path; they mask the timings, which vary run to run.
 
     def test_evaluate_stdout(self, capsys, tmp_path):
         assert evaluate_digests(tmp_path, capsys) == EVALUATE_DIGESTS
 
     def test_mix_files(self, capsys, tmp_path):
         assert mix_digests(tmp_path, capsys) == MIX_DIGESTS
+
+    def test_bench_reports(self, capsys, tmp_path):
+        assert bench_digests(tmp_path, capsys) == BENCH_DIGESTS
 
 
 EVALUATE_DIGESTS = {
@@ -524,4 +601,10 @@ MIX_DIGESTS = {
     "c2": "204248ee7834d0aefef29ededa7c653fcc7c1e50797be1f844e7888ab0010bfc",
     "c5": "6d84bda3cf184aa9578595fb4406ba115beb2a56b3998025da2dd84d9f4d3b2d",
     "c20": "4254be008f696fcabbd7d56a942db005e78207a09f2ccec9c00707651524159e",
+}
+BENCH_DIGESTS = {
+    "profile_json": "b7b0cdb82551eda3f0c75e0b4057e60886852d2089207a8c72334ac44e5816a8",
+    "profile_csv": "8430ce751440c34a013b8a47e4b3c837777947d045ec0f4c6436648101e70ded",
+    "sweep_json": "4ff258d785bcefb51e8e084570f063b2be1c5dd92e746c785a01460f6757da8b",
+    "sweep_csv": "72b716286d8e0f32c82809ca5962371c04d64cd06f477c1e2b1b3bbf5eed245f",
 }
