@@ -155,6 +155,14 @@ def _scaled(entries: np.ndarray) -> np.ndarray:
     return np.ldexp(entries, -exponent)
 
 
+def _reduced_duals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Row then column reduction of each trailing C x C matrix; finding the
+    # optimum among the resulting zeros is the "obvious permutation" phase
+    # and costs no adjustments.
+    u = entries.min(axis=-1)
+    return u, (entries - u[..., None]).min(axis=-2)
+
+
 def solve_hungarian(matrix) -> AssignmentResult:
     """Find the cost-minimizing row-to-column permutation in O(C^3) time.
 
@@ -177,10 +185,7 @@ def solve_hungarian(matrix) -> AssignmentResult:
 
 def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
     n = entries.shape[0]
-    # Row then column reduction; finding the optimum among the resulting
-    # zeros is the "obvious permutation" phase and costs no adjustments.
-    u = entries.min(axis=1).astype(np.float64)
-    v = (entries - u[:, None]).min(axis=0)
+    u, v = _reduced_duals(entries)
     match_col = np.full(n, -1, dtype=np.intp)  # column -> matched row
     adjustments = 0
     # Work arrays, refilled per row rather than reallocated per step.
@@ -230,9 +235,7 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
             prev = way[j]
             match_col[j] = i if prev < 0 else match_col[prev]
             j = prev
-    mapping = np.empty(n, dtype=np.intp)
-    mapping[match_col] = np.arange(n)
-    return mapping, adjustments
+    return np.argsort(match_col), adjustments
 
 
 def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +250,7 @@ def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and adjustment counts are the same.
     """
     batch, n, _ = entries.shape
-    u = entries.min(axis=2)
-    v = (entries - u[:, :, None]).min(axis=1)
+    u, v = _reduced_duals(entries)
     match_col = np.full((batch, n), -1, dtype=np.intp)  # column -> matched row
     adjustments = np.zeros(batch, dtype=np.int64)
     way = np.empty((batch, n), dtype=np.intp)  # predecessor columns of each finished search
@@ -270,15 +272,15 @@ def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             better = ~used & (reduced < minv)
             minv = np.where(better, reduced, minv)
             pred = np.where(better, j0[:, None], pred)
-            candidates = np.where(used, np.inf, minv)
-            j1 = candidates.argmin(axis=1)
-            delta = candidates[rows, j1]
+            j1 = minv.argmin(axis=1)
+            delta = minv[rows, j1]
             adjustments[act] += delta > 0.0
             step = delta[:, None]
             # Adding 0 where the loop skips the update changes at most a zero's sign.
             ua += in_tree * step
             va -= used * step
-            minv -= step  # a used column's slack is never read again
+            minv -= step  # used columns stay +inf
+            minv[rows, j1] = np.inf
             used[rows, j1] = True
             i0 = match_col[act, j1]
             done = i0 < 0
@@ -303,9 +305,7 @@ def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             match_col[act, col] = np.where(prev < 0, i, match_col[act, prev])
             walking = prev >= 0
             act, col = act[walking], prev[walking]
-    mapping = np.empty((batch, n), dtype=np.intp)
-    mapping[everyone[:, None], match_col] = np.arange(n)
-    return mapping, adjustments
+    return np.argsort(match_col, axis=-1), adjustments
 
 
 def solve_bruteforce(matrix, guard: int = BRUTEFORCE_GUARD) -> AssignmentResult:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -20,13 +21,13 @@ import numpy as np
 from .assignment import (
     BRUTEFORCE_GUARD,
     CostMatrix,
-    SinkhornConfig,
     solve_batch,
     solve_bruteforce,
     solve_hungarian,
     solve_sinkhorn,
 )
 from .errors import EmptyInputError, InvalidInputError
+from .mixtures import _seeded_rng
 
 #: Random benchmark matrices draw entries from this span, mirroring the
 #: dB-loss range the clamped separation metrics actually produce.
@@ -101,39 +102,58 @@ class ConfusionExport:
         return f"P5\n{width} {height}\n255\n".encode("ascii") + gray.tobytes()
 
 
-def _random_matrices(c: int, trials: int, seed: int) -> np.ndarray:
+def _check_stack(c: int, trials: int) -> None:
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     if trials * c * c > _MAX_FLOAT64_ENTRIES:
         raise InvalidInputError(f"trials={trials} at C={c} is past numpy's largest float64 array")
+
+
+def _random_matrices(c: int, trials: int, seed: int) -> np.ndarray:
+    _check_stack(c, trials)
     # Child stream per C: reports do not depend on the order of c_values.
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-    return rng.uniform(ENTRY_RANGE[0], ENTRY_RANGE[1], size=(trials, c, c))
+    return _seeded_rng(seed, (c,)).uniform(ENTRY_RANGE[0], ENTRY_RANGE[1], size=(trials, c, c))
+
+
+def _first_unprintable_factorial() -> float:
+    """Smallest C whose C! has more digits than `str(int)` prints; inf with no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.11
+    if not limit:
+        return math.inf
+    bound, c, factorial = 10**limit, 1, 1
+    while factorial < bound:
+        c += 1
+        factorial *= c
+    return c
 
 
 def sweep_solvers(
-    c_values,
-    trials: int,
-    seed: int = 0,
-    guard: int = BRUTEFORCE_GUARD,
-    sinkhorn_config: SinkhornConfig | None = None,
+    c_values, trials: int, seed: int = 0, guard: int = BRUTEFORCE_GUARD
 ) -> list[BenchReport]:
     """Time all three solvers on random matrices for each requested C.
 
     Brute force only runs when C fits under `guard`; larger sizes produce a
     skipped row carrying the reason instead of fabricated timings. Each
-    trial is timed as its own solver call.
+    trial is timed as its own solver call. Every C is checked before any
+    matrix is drawn, and a C whose C! is too long for `str` is refused.
     """
     c_values = [int(c) for c in c_values]
     if not c_values:
         raise EmptyInputError("c_values is empty")
     if any(c < 1 for c in c_values):
         raise InvalidInputError(f"c_values must be positive: {c_values}")
-    config = sinkhorn_config or SinkhornConfig()
+    unprintable = _first_unprintable_factorial()
+    for c in c_values:
+        _check_stack(c, trials)
+        if c >= unprintable:
+            raise InvalidInputError(
+                f"C={c} is too large to report: C! has more digits than Python's "
+                f"int-to-str limit (sys.get_int_max_str_digits()) allows"
+            )
     solvers = {
         "hungarian": solve_hungarian,
         "bruteforce": lambda m: solve_bruteforce(m, guard=guard),
-        "sinkhorn": lambda m: solve_sinkhorn(m, config=config),
+        "sinkhorn": solve_sinkhorn,
     }
     reports = []
     for c in c_values:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assignment import BRUTEFORCE_GUARD, CostMatrix, solve_bruteforce, solve_hungarian
+from .assignment import CostMatrix, solve_bruteforce, solve_hungarian
 from .errors import EmptyInputError, InvalidInputError
 
 #: SI-SNR outputs are clamped to +/- this many dB so cost matrices stay finite.
@@ -213,7 +213,7 @@ def hungarian_loss(instance: SeparationInstance) -> MatchedLoss:
     return _matched_loss(matrix, solve_hungarian(matrix).permutation)
 
 
-def pit_loss(instance: SeparationInstance, guard: int = BRUTEFORCE_GUARD) -> MatchedLoss:
+def pit_loss(instance: SeparationInstance) -> MatchedLoss:
     """Same contract as hungarian_loss, by exhaustive enumeration (the oracle)."""
     matrix = pairwise_cost_matrix(instance)
-    return _matched_loss(matrix, solve_bruteforce(matrix, guard=guard).permutation)
+    return _matched_loss(matrix, solve_bruteforce(matrix).permutation)

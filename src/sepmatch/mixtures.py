@@ -73,6 +73,13 @@ def _snr_range(value) -> tuple[float, float]:
     return low, high
 
 
+def _seeded_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """Generator for child stream `spawn_key` of `seed`; the empty key is `default_rng(seed)`."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
 @dataclass(frozen=True)
 class MixSpec:
     """Recipe for one synthetic instance: C sources at a rate, duration, SNR spread.
@@ -126,8 +133,9 @@ def generate_sources(spec: MixSpec, kinds) -> list[AudioSignal]:
         )
     signals = []
     for index, kind in enumerate(kinds):
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(index,)))
-        samples = _render_source(kind, spec.num_samples, spec.sample_rate, rng)
+        samples = _render_source(
+            kind, spec.num_samples, spec.sample_rate, _seeded_rng(spec.seed, (index,))
+        )
         peak = float(np.abs(samples).max())
         if peak == 0.0:
             raise InvalidInputError(f"source {index} ({kind.variant}) rendered silent")
@@ -183,7 +191,9 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     applied to its energy relative to source 0 (so sources can come out
     louder or quieter than the anchor). If the raw sum leaves [-1, 1] the
     whole mix is rescaled and the reported gains absorb the factor; either
-    way sum(gains[i] * sources[i]) reconstructs the returned mixture.
+    way sum(gains[i] * sources[i]) reconstructs the returned mixture. An
+    snr_range so wide that a rescaled gain leaves float64 (inf, or 0 so a
+    source drops out) or the mixture overflows raises InvalidInputError.
 
     Returns (mixture, gains).
     """
@@ -195,19 +205,29 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     for index, energy in enumerate(energies):
         if energy == 0.0:
             raise InvalidInputError(f"source {index} has zero energy")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     gains = np.ones(len(sources))
     for i in range(1, len(sources)):
         offset_db = rng.uniform(low, high)
         if rng.random() < 0.5:
             offset_db = -offset_db
+        try:
+            level = 10.0 ** (offset_db / 20.0)
+        except OverflowError:
+            level = math.inf  # refused below
         # Energy of gains[i] * source_i relative to source 0, in dB.
-        gains[i] = math.sqrt(energies[0] / energies[i]) * 10.0 ** (offset_db / 20.0)
-    mixture = gains @ stacked
-    peak = float(np.abs(mixture).max())
-    if peak > 1.0:
-        gains = gains / peak
-        mixture = gains @ stacked  # recomputed so the reported gains reconstruct it
+        gains[i] = math.sqrt(energies[0] / energies[i]) * level
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, by name
+        mixture = gains @ stacked
+        peak = float(np.abs(mixture).max())  # inf or nan if the mixture is not finite
+        if peak > 1.0:
+            gains = gains / peak
+            mixture = gains @ stacked  # recomputed so the reported gains reconstruct it
+    if not (math.isfinite(peak) and np.isfinite(gains).all() and gains.all()):
+        raise InvalidInputError(
+            f"snr_range ({low:g}, {high:g}) dB is too wide for float64: gains "
+            f"{gains.tolist()} after peak rescaling, each must be finite and non-zero"
+        )
     return AudioSignal(mixture, sources[0].sample_rate), gains
 
 

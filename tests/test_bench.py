@@ -1,13 +1,15 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
+import sepmatch.bench as bench
 from sepmatch import (
     BenchReport,
     EmptyInputError,
     InvalidInputError,
-    SinkhornConfig,
     export_confusion,
     iteration_profile,
     permutation_count,
@@ -82,10 +84,21 @@ class TestSweep:
         with pytest.raises(InvalidInputError, match="trials=1 at C=10000000000 "):
             sweep_solvers([10**10], trials=1)
 
-    def test_sinkhorn_config_forwarded(self):
-        reports = sweep_solvers([4], trials=2, seed=0, sinkhorn_config=SinkhornConfig(iterations=7))
-        sink = [r for r in reports if r.solver == "sinkhorn"][0]
-        assert sink.mean_iterations == 7.0
+    def test_factorial_past_int_str_limit_refused_before_any_solve(self, monkeypatch):
+        # 1559! is the first factorial with more than 4 300 digits, the default
+        # int -> str limit since Python 3.11; its report could not be printed.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        assert bench._first_unprintable_factorial() == 1559
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused sweep drew or solved a matrix")
+
+        for name in ("_random_matrices", "solve_hungarian", "solve_bruteforce", "solve_sinkhorn"):
+            monkeypatch.setattr(bench, name, no_work)
+        with pytest.raises(InvalidInputError, match="C=1559 "):
+            sweep_solvers([4, 1559], trials=1)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+        assert bench._first_unprintable_factorial() == math.inf
 
 
 class TestIterationProfile:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import sepmatch
 from sepmatch import AudioSignal, matrix_to_json, matrix_to_text, read_wav, write_wav
 from sepmatch.cli import main
 
-from conftest import LAYOUTS, encode_wav, sine
+from conftest import LAYOUTS, encode_wav, riff_bytes, sine
 
 
 @pytest.fixture
@@ -83,6 +84,13 @@ class TestSolve:
         code, out, err = run(capsys, ["solve", path])
         assert code == 2 and out == ""
         assert "line 2" in err
+
+    def test_non_numeric_json_entries_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "dict.json"
+        path.write_text('{"size": 1, "entries": {"a": 1}}')
+        code, out, err = run(capsys, ["solve", path])
+        assert code == 2 and out == ""
+        assert "not numeric" in err
 
     def test_missing_file_exit_4(self, capsys, tmp_path):
         code, _, err = run(capsys, ["solve", tmp_path / "absent.txt"])
@@ -165,6 +173,28 @@ class TestMix:
         )
         assert code == 2 and out == ""
         assert "duration * sample_rate" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--num-sources", 3, "--duration", 0.0000624], "rounds to zero samples"),
+            # At 8 kHz the noise source gets 1 sample, which its band filter zeroes.
+            (["--num-sources", 3, "--duration", 0.000125], "rendered silent"),
+            (["--num-sources", 2, "--seed", -1], "seed must be >= 0"),
+            # A 6500 dB offset used to raise OverflowError in 10 ** (dB / 20).
+            (["--num-sources", 3, "--duration", 0.01, "--seed", 1,
+              "--snr-low=6500", "--snr-high=7000"], "snr_range"),
+            # These gains used to underflow to 0, dropping sources from the mixture.
+            (["--num-sources", 8, "--seed", 0, "--snr-low=6100", "--snr-high=6160"],
+             "snr_range"),
+        ],
+    )
+    def test_bad_input_exit_2(self, capsys, tmp_path, args, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["mix", *args, "--out-dir", out_dir])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
         assert not out_dir.exists()
 
 
@@ -292,6 +322,16 @@ class TestEvaluate:
         )
         assert code == 4 and err != ""
 
+    def test_zero_channel_fmt_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "mono0.wav"
+        fmt = struct.pack("<HHIIHH", 1, 0, 8000, 16000, 2, 16)
+        path.write_bytes(riff_bytes((b"fmt ", fmt), (b"data", bytes(8))))
+        code, out, err = run(
+            capsys, ["evaluate", "--targets", path, "--estimates", path, "--mixture", path]
+        )
+        assert code == 2 and out == ""
+        assert "malformed fmt chunk (channels=0" in err
+
     def test_unequal_lengths_are_truncated(self, capsys, tmp_path):
         long_a = tmp_path / "la.wav"
         long_b = tmp_path / "lb.wav"
@@ -386,6 +426,20 @@ class TestBenchCli:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert f"trials={trials} at C={c} " in err
+
+    @pytest.mark.parametrize("profile", [[], ["--profile-difficulties", "0,1"]])
+    def test_negative_seed_exit_2(self, capsys, profile):
+        argv = ["bench", "--c-values", 3, "--trials", 2, "--seed", -1, *profile]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "seed must be >= 0, got -1" in err
+
+    def test_factorial_past_int_str_limit_exit_2(self, capsys, monkeypatch):
+        # Used to solve for seconds, then exit 1 printing the 1559! count.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        code, out, err = run(capsys, ["bench", "--c-values", 1559, "--trials", 1])
+        assert code == 2 and out == ""
+        assert "C=1559 " in err
 
 
 class TestConfusionCli:
