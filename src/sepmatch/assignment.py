@@ -200,11 +200,11 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
         minv.fill(np.inf)
         way.fill(-1)
         free.fill(True)
-        tree_rows[0] = i
         scanned = 0
         j0 = -1
         i0 = i
-        while True:
+        for _ in range(n):  # each step scans a new column
+            tree_rows[scanned] = i0
             np.subtract(entries[i0], u.item(i0), out=reduced)
             np.subtract(reduced, v, out=reduced)
             np.less(reduced, minv, out=better)
@@ -228,7 +228,8 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
             if i0 < 0:
                 break
             j0 = j1
-            tree_rows[scanned] = i0
+        else:
+            raise RuntimeError(f"search for row {i} of C = {n} scanned every column")
         # Flip matched edges along the augmenting path back to the root.
         j = j1
         while j != -1:
@@ -241,70 +242,92 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
 def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_augmenting_path_assignment` on a (B, C, C) stack, all B matrices at once.
 
-    Row i of every matrix is matched in the same pass. Each round advances
-    every matrix still searching for row i's augmenting path by one Dijkstra
-    step, using (k, C) array operations on the k matrices still searching;
-    a matrix leaves the round's arrays once its path reaches a free column.
-    The paths are then flipped together. Per matrix, each comparison and
-    dual update is the one the single-matrix loop makes, so the permutations
-    and adjustment counts are the same.
+    Each matrix moves through its rows on its own schedule. Every round
+    advances each of the k matrices with rows left by one Dijkstra step of
+    its current row's search, using (k, C) array operations. A matrix whose
+    path reaches a free column flips that path, resets its search state and
+    starts its next row in the following round; after its last row it
+    leaves the working set. So a stack takes as many rounds as its slowest
+    matrix takes steps in all, at most C rows of C steps each. Per matrix,
+    each comparison and dual update is the one the single-matrix loop
+    makes, so the permutations and adjustment counts are the same.
     """
     batch, n, _ = entries.shape
+    match_col = np.empty((batch, n), dtype=np.intp)  # column -> matched row, per finished matrix
+    adjustments = np.empty(batch, dtype=np.int64)
+    # Per-matrix (k, C) state is indexed through its flattened view: entry
+    # (r, j) sits at offset[r] + j.
+    offsets = np.arange(batch) * n
+    # State of the working set, compressed to its k matrices.
+    act, offset = np.arange(batch), offsets
     u, v = _reduced_duals(entries)
-    match_col = np.full((batch, n), -1, dtype=np.intp)  # column -> matched row
-    adjustments = np.zeros(batch, dtype=np.int64)
-    way = np.empty((batch, n), dtype=np.intp)  # predecessor columns of each finished search
-    end = np.empty(batch, dtype=np.intp)  # free column each search reached
-    everyone = np.arange(batch)
-    for i in range(n):
-        # State of the searches still running, compressed to their k matrices.
-        act, rows = everyone, everyone
-        ua, va = u.copy(), v.copy()
-        minv = np.full((batch, n), np.inf)
-        pred = np.full((batch, n), -1, dtype=np.intp)
-        used = np.zeros((batch, n), dtype=bool)
-        in_tree = np.zeros((batch, n), dtype=bool)  # rows whose duals move with delta
-        in_tree[:, i] = True
-        j0 = np.full(batch, -1, dtype=np.intp)
-        i0 = np.full(batch, i, dtype=np.intp)
-        while act.size:
-            reduced = entries[act, i0] - ua[rows, i0][:, None] - va
-            better = ~used & (reduced < minv)
-            minv = np.where(better, reduced, minv)
-            pred = np.where(better, j0[:, None], pred)
-            j1 = minv.argmin(axis=1)
-            delta = minv[rows, j1]
-            adjustments[act] += delta > 0.0
-            step = delta[:, None]
-            # Adding 0 where the loop skips the update changes at most a zero's sign.
-            ua += in_tree * step
-            va -= used * step
-            minv -= step  # used columns stay +inf
-            minv[rows, j1] = np.inf
-            used[rows, j1] = True
-            i0 = match_col[act, j1]
-            done = i0 < 0
-            if done.any():
-                finished = act[done]
-                way[finished] = pred[done]
-                end[finished] = j1[done]
-                u[finished] = ua[done]
-                v[finished] = va[done]
-                keep = np.flatnonzero(~done)
-                act, i0, j1 = act[keep], i0[keep], j1[keep]
-                ua, va, minv, pred, used, in_tree = (
-                    state.take(keep, axis=0) for state in (ua, va, minv, pred, used, in_tree)
-                )
-                rows = everyone[: act.size]
-            j0 = j1
-            in_tree[rows, i0] = True
-        # Flip matched edges along every augmenting path back to its root.
-        act, col = everyone, end
-        while act.size:
-            prev = way[act, col]
-            match_col[act, col] = np.where(prev < 0, i, match_col[act, prev])
+    match = np.full((batch, n), -1, dtype=np.intp)
+    adj = np.zeros(batch, dtype=np.int64)
+    row = np.zeros(batch, dtype=np.intp)  # the row each search is matching
+    minv = np.full((batch, n), np.inf)
+    # The first step of a search finds every column better than +inf, so
+    # `pred` is fully rewritten before a flip reads it and needs no reset.
+    pred = np.empty((batch, n), dtype=np.intp)
+    used = np.zeros((batch, n), dtype=bool)
+    in_tree = np.zeros((batch, n), dtype=bool)  # rows whose duals move with delta
+    j1 = np.full(batch, -1, dtype=np.intp)
+    i0 = row.copy()
+    for _ in range(n * n):
+        j0 = j1
+        at = offset + i0
+        in_tree.ravel()[at] = True
+        reduced = entries[act, i0] - u.ravel()[at][:, None] - v
+        better = ~used & (reduced < minv)
+        minv = np.where(better, reduced, minv)
+        pred = np.where(better, j0[:, None], pred)
+        j1 = minv.argmin(axis=1)
+        at = offset + j1
+        delta = minv.ravel()[at]
+        adj += delta > 0.0
+        step = delta[:, None]
+        # Adding 0 where the loop skips the update changes at most a zero's sign.
+        u += in_tree * step
+        v -= used * step
+        minv -= step  # used columns stay +inf
+        minv.ravel()[at] = np.inf
+        used.ravel()[at] = True
+        i0 = match.ravel()[at]
+        done = np.flatnonzero(i0 < 0)
+        if not done.size:
+            continue
+        # Flip matched edges along each finished path back to its root.
+        base, root = offset[done], row[done]
+        at = at[done]
+        flat_pred, flat_match = pred.ravel(), match.ravel()
+        while at.size:
+            prev = flat_pred[at]
+            came_from = base + prev
+            flat_match[at] = np.where(prev < 0, root, flat_match[came_from])
             walking = prev >= 0
-            act, col = act[walking], prev[walking]
+            at, base, root = came_from[walking], base[walking], root[walking]
+        # Start each finished search's next row.
+        row[done] += 1
+        i0[done] = row[done]
+        j1[done] = -1
+        minv[done] = np.inf
+        used[done] = False
+        in_tree[done] = False
+        if (row[done] < n).all():
+            continue
+        # Matrices past their last row leave the working set.
+        last = row == n
+        match_col[act[last]] = match[last]
+        adjustments[act[last]] = adj[last]
+        keep = np.flatnonzero(~last)
+        if not keep.size:
+            break
+        act, row, i0, j1, adj = act[keep], row[keep], i0[keep], j1[keep], adj[keep]
+        u, v, match, minv, pred, used, in_tree = (
+            state.take(keep, axis=0) for state in (u, v, match, minv, pred, used, in_tree)
+        )
+        offset = offsets[: act.size]
+    else:
+        raise RuntimeError(f"lockstep solve of C = {n} did not finish within {n * n} rounds")
     return np.argsort(match_col, axis=-1), adjustments
 
 
@@ -427,12 +450,16 @@ def solve_batch(
 ) -> list[AssignmentResult]:
     """Solve many independent matrices, preserving input order in the output.
 
-    With `solve_hungarian` (the default), the matrices are grouped by size
-    and each group is solved in lockstep as one stack; every result equals
-    the one `solve_hungarian` gives for that matrix, except that its
-    `elapsed_ns` is the group's solve time divided by the group's size (an
-    amortised share, not the matrix's own time). Any other solver is called
-    once per matrix.
+    With `solve_hungarian` (the default), the matrices are validated one by
+    one in input order, grouped by size, and each group is stacked once and
+    solved by the lockstep kernel, in which every matrix moves on to its
+    next row as soon as its own search ends. Every result equals the one
+    `solve_hungarian` gives for that matrix, except that its `elapsed_ns` is
+    the group's solve time divided by the group's size (an amortised share,
+    not the matrix's own time). A group's matched costs are taken with one
+    gather and one row sum, which adds each row in the order a single solve
+    does; only a sum that overflows takes the single solve's exact-sum
+    rescue. Any other solver is called once per matrix.
     """
     # The module global is looked up at call time, so a caller that replaces
     # it with a wrapper (as a tracer does) and passes that still batches.
@@ -442,17 +469,19 @@ def solve_batch(
     groups: dict[int, list[int]] = {}
     for k, e in enumerate(entries):
         groups.setdefault(e.shape[0], []).append(k)
-    results: dict[int, AssignmentResult] = {}
+    results: list[AssignmentResult | None] = [None] * len(entries)
     for members in groups.values():
         start = time.perf_counter_ns()
-        mappings, adjustments = _lockstep_assignment(
-            _scaled(np.stack([entries[k] for k in members]))
-        )
+        stack = np.stack([entries[k] for k in members])
+        mappings, adjustments = _lockstep_assignment(_scaled(stack))
         share = (time.perf_counter_ns() - start) // len(members)
-        for k, mapping, rounds in zip(members, mappings, adjustments.tolist()):
-            cost = _matched_cost(entries[k], mapping)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf gives nan
+            costs = np.take_along_axis(stack, mappings[..., None], axis=-1)[..., 0].sum(axis=-1)
+        for k, mapping, cost, rounds in zip(members, mappings, costs.tolist(), adjustments.tolist()):
+            if not math.isfinite(cost):
+                cost = _matched_cost(entries[k], mapping)
             results[k] = AssignmentResult(mapping, cost, rounds, share)
-    return [results[k] for k in range(len(entries))]
+    return results
 
 
 # --- serialization -----------------------------------------------------------

@@ -193,7 +193,8 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     whole mix is rescaled and the reported gains absorb the factor; either
     way sum(gains[i] * sources[i]) reconstructs the returned mixture. An
     snr_range so wide that a rescaled gain leaves float64 (inf, or 0 so a
-    source drops out) or the mixture overflows raises InvalidInputError.
+    source drops out) or the mixture overflows raises InvalidInputError, as
+    does a source whose energy is zero or overflows float64.
 
     Returns (mixture, gains).
     """
@@ -201,10 +202,13 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     _check_aligned(sources)
     low, high = _snr_range(snr_range)
     stacked = np.stack([s.samples for s in sources])
-    energies = np.einsum("ij,ij->i", stacked, stacked)
+    with np.errstate(over="ignore"):  # checked below, by source
+        energies = np.einsum("ij,ij->i", stacked, stacked)
     for index, energy in enumerate(energies):
         if energy == 0.0:
             raise InvalidInputError(f"source {index} has zero energy")
+        if energy == math.inf:
+            raise InvalidInputError(f"source {index} has an energy that overflows float64")
     rng = _seeded_rng(seed)
     gains = np.ones(len(sources))
     for i in range(1, len(sources)):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -406,26 +406,47 @@ def assert_same_as_single(matrices, results):
         assert got.iterations == want.iterations
 
 
+def planted_stack(rng, c, difficulty):
+    """As in bench.iteration_profile: a zero-diagonal template blended with noise.
+
+    `difficulty` is one blend weight for the whole stack or one per matrix.
+    """
+    template = np.full((c, c), 30.0)
+    np.fill_diagonal(template, 0.0)
+    d = np.reshape(difficulty, (-1, 1, 1))
+    return (1.0 - d) * template + d * rng.uniform(-30.0, 30.0, (d.shape[0], c, c))
+
+
 @st.composite
 def matrix_stacks(draw):
-    """(B, C, C) stacks: tie-heavy integers, rank-1 products or planted profiles."""
+    """(B, C, C) stacks: tie-heavy integers, rank-1 products, planted profiles
+    of one difficulty, or mixed ones that draw a difficulty per matrix (a
+    quarter of them 0, which solve in zero adjustment rounds), so that the
+    matrices of one stack finish their rows in different rounds."""
     c = draw(st.integers(1, 25))
     b = draw(st.integers(0, 64))
-    kind = draw(st.sampled_from(["ties", "rank1", "planted"]))
+    kind = draw(st.sampled_from(["ties", "rank1", "planted", "mixed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "ties":
         return rng.integers(0, 3, (b, c, c)).astype(np.float64)
     if kind == "rank1":
         return rng.uniform(-3.0, 3.0, (b, c, 1)) * rng.uniform(-3.0, 3.0, (b, 1, c))
-    # As in bench.iteration_profile: a zero-diagonal template blended with noise.
-    d = draw(st.floats(0.0, 1.0))
-    template = np.full((c, c), 30.0)
-    np.fill_diagonal(template, 0.0)
-    return (1.0 - d) * template + d * rng.uniform(-30.0, 30.0, (b, c, c))
+    if kind == "planted":
+        return planted_stack(rng, c, [draw(st.floats(0.0, 1.0))] * b)
+    return planted_stack(rng, c, rng.uniform(0.0, 1.0, b) * (rng.random(b) >= 0.25))
+
+
+def lone_uniform_stack():
+    """One uniform C = 20 matrix among 63 zero-round template matrices."""
+    stack = planted_stack(np.random.default_rng(31), 20, [0.0] * 64)
+    stack[40] = np.random.default_rng(32).uniform(-30.0, 30.0, (20, 20))
+    return stack
 
 
 @settings(max_examples=60, deadline=None)
 @given(stack=matrix_stacks())
+@example(stack=lone_uniform_stack())
+@example(stack=np.random.default_rng(33).uniform(-30.0, 30.0, (5, 1, 1)))
 def test_batch_equals_single(stack):
     results = solve_batch(stack)
     assert_same_as_single(stack, results)
@@ -456,14 +477,22 @@ def golden_matrices():
             yield (1.0 - d) * template + d * rng.uniform(-30.0, 30.0, (c, c))
 
 
-def test_solver_golden_digest():
+def results_digest(results):
     digest = hashlib.sha256()
-    for matrix in golden_matrices():
-        result = solve_hungarian(matrix)
+    for result in results:
         digest.update(np.asarray(result.permutation, dtype="<i8").tobytes())
         digest.update(np.array([result.iterations], dtype="<i8").tobytes())
         digest.update(np.array([result.total_cost], dtype="<f8").tobytes())
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_solver_golden_digest():
+    assert results_digest(map(solve_hungarian, golden_matrices())) == GOLDEN_DIGEST
+
+
+def test_batch_golden_digest():
+    # One call over every size: batched results must equal the single solves.
+    assert results_digest(solve_batch(list(golden_matrices()))) == GOLDEN_DIGEST
 
 
 # sha256 over (permutation, iterations, total_cost) of `solve_bruteforce` on
@@ -488,15 +517,10 @@ def oracle_matrices():
 
 
 def test_bruteforce_golden_digest():
-    digest = hashlib.sha256()
-    for matrix in oracle_matrices():
-        result = solve_bruteforce(matrix)
-        digest.update(np.asarray(result.permutation, dtype="<i8").tobytes())
-        digest.update(np.array([result.iterations], dtype="<i8").tobytes())
-        digest.update(np.array([result.total_cost], dtype="<f8").tobytes())
+    results = [solve_bruteforce(matrix) for matrix in oracle_matrices()]
     # All-zero: every permutation ties, and the lexicographic first is the identity.
-    assert list(result.permutation) == list(range(11))
-    assert digest.hexdigest() == ORACLE_DIGEST
+    assert list(results[-1].permutation) == list(range(11))
+    assert results_digest(results) == ORACLE_DIGEST
 
 
 class TestSerialization:

@@ -171,6 +171,16 @@ class TestMix:
         with pytest.raises(InvalidInputError, match="snr_range"):
             mix([sine(440), sine(500)], (5.0, 0.0))
 
+    def test_energy_overflow_names_source(self):
+        # Each energy overflowed to inf, and inf / inf raised a RuntimeWarning
+        # and then blamed the default snr_range.
+        huge = AudioSignal(np.full(16, 1e200), 8000)
+        ramp = AudioSignal(np.linspace(-1e200, 1e200, 16), 8000)
+        with pytest.raises(InvalidInputError, match="source 0 has an energy that overflows"):
+            mix([huge, ramp])
+        with pytest.raises(InvalidInputError, match="source 1 has an energy that overflows"):
+            mix([sine(440, n=16), ramp])
+
     def test_separability_sanity(self):
         # Ground-truth scaled sources fed back as estimates must recover the
         # identity permutation at the clamp ceiling.
