@@ -125,22 +125,26 @@ def generate_sources(spec: MixSpec, kinds) -> list[AudioSignal]:
     index) pair always reproduces the same samples and different indices
     stay decorrelated (pairwise normalized cross-correlation below 0.5 for
     the synthetic kinds).
+
+    The returned signals are the rows, in order, of one (C, samples) block,
+    which `mix` sums without copying; holding any one of them keeps the
+    whole block alive.
     """
     kinds = list(kinds)
     if len(kinds) != spec.num_sources:
         raise InvalidInputError(
             f"got {len(kinds)} kinds for {spec.num_sources} sources"
         )
-    signals = []
-    for index, kind in enumerate(kinds):
+    block = np.empty((spec.num_sources, spec.num_samples))
+    for index, (kind, row) in enumerate(zip(kinds, block)):
         samples = _render_source(
             kind, spec.num_samples, spec.sample_rate, _seeded_rng(spec.seed, (index,))
         )
         peak = float(np.abs(samples).max())
         if peak == 0.0:
             raise InvalidInputError(f"source {index} ({kind.variant}) rendered silent")
-        signals.append(AudioSignal(samples * (PEAK_AMPLITUDE / peak), spec.sample_rate))
-    return signals
+        np.multiply(samples, PEAK_AMPLITUDE / peak, out=row)
+    return [AudioSignal(row, spec.sample_rate) for row in block]
 
 
 def _render_source(kind: SourceKind, num_samples: int, sample_rate: int, rng) -> np.ndarray:
@@ -180,7 +184,7 @@ def _render_source(kind: SourceKind, num_samples: int, sample_rate: int, rng) ->
         raise InvalidInputError(
             f"{kind.path}: {len(signal)} samples is shorter than the requested {num_samples}"
         )
-    return signal.samples[:num_samples].copy()
+    return signal.samples[:num_samples]
 
 
 def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.ndarray]:
@@ -201,7 +205,7 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     sources = list(sources)
     _check_aligned(sources)
     low, high = _snr_range(snr_range)
-    stacked = np.stack([s.samples for s in sources])
+    stacked = _stacked([s.samples for s in sources])
     with np.errstate(over="ignore"):  # checked below, by source
         energies = np.einsum("ij,ij->i", stacked, stacked)
     for index, energy in enumerate(energies):
@@ -233,6 +237,30 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
             f"{gains.tolist()} after peak rescaling, each must be finite and non-zero"
         )
     return AudioSignal(mixture, sources[0].sample_rate), gains
+
+
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """`rows` as one C-contiguous (len(rows), samples) array, copied only if need be.
+
+    Rows that are exactly the rows of one such block, in order (as
+    `generate_sources` returns them), give that block itself; anything else
+    is stacked into a new one. Either way the same values sit in the same
+    layout, so a product over the result does not depend on which it was.
+    """
+    block = rows[0].base
+    if (
+        isinstance(block, np.ndarray)
+        and block.dtype == np.float64
+        and block.flags.c_contiguous
+        and block.shape == (len(rows), rows[0].size)
+    ):
+        start, row_bytes = block.ctypes.data, block.strides[0]
+        if all(
+            row.strides == (8,) and row.ctypes.data == start + index * row_bytes
+            for index, row in enumerate(rows)
+        ):
+            return block
+    return np.stack(rows)
 
 
 def truncate_to_min(signals) -> list[AudioSignal]:

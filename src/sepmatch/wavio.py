@@ -28,7 +28,9 @@ _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def _clipped(frames: np.ndarray) -> np.ndarray:
-    samples = frames.astype(np.float64)
+    # Casting a signalling NaN warns; AudioSignal's finite check refuses it.
+    with np.errstate(invalid="ignore"):
+        samples = frames.astype(np.float64)
     return np.clip(samples, -1.0, 1.0, out=samples)
 
 

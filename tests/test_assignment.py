@@ -159,7 +159,7 @@ class TestMagnitude:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             single = solve_hungarian(matrix)
-            batched = solve_batch([matrix])[0]
+            batched = solve_batch([matrix, matrix])[0]  # two, so the lockstep kernel runs
         assert_optimal_to_resolution(matrix, single.permutation)
         assert single.total_cost == matrix[np.arange(3), single.permutation].sum()
         assert np.array_equal(batched.permutation, single.permutation)
@@ -194,7 +194,7 @@ class TestMagnitude:
         matrix = np.array([[-1e308, 0, 1], [-1.7e308, 1.7e308, -1e308], [1, 9e307, 1.7e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = [solve_hungarian(matrix), solve_batch([matrix])[0]]
+            results = [solve_hungarian(matrix), solve_batch([matrix, matrix])[0]]
         for result in results:
             assert result.permutation.tolist() == [0, 2, 1]
             assert result.total_cost == -1.1e308
@@ -301,10 +301,12 @@ class TestSinkhorn:
     def test_overflow_safe_at_low_temperature(self):
         rng = np.random.default_rng(17)
         matrix = rng.uniform(-30.0, 30.0, (10, 10))
-        with np.errstate(over="raise", invalid="raise"):
-            result = solve_sinkhorn(matrix, SinkhornConfig(iterations=200, temperature=0.1))
-        assert sorted(result.permutation) == list(range(10))
-        assert math.isfinite(result.total_cost)
+        # At 0.01 the unshifted exponentials reach exp(3000), beyond float64.
+        for temperature in (0.1, 0.01):
+            with np.errstate(over="raise", invalid="raise"):
+                result = solve_sinkhorn(matrix, SinkhornConfig(iterations=200, temperature=temperature))
+            assert sorted(result.permutation) == list(range(10))
+            assert math.isfinite(result.total_cost)
 
     def test_temperature_overflow_raises(self):
         # cost / temperature overflowed to inf and Sinkhorn fell back to the identity.

@@ -141,6 +141,28 @@ class TestMix:
             rebuilt += g * s.samples
         assert np.abs(mixture.samples - rebuilt).max() < 1e-9
 
+    def test_generated_block_mixes_like_copies(self, monkeypatch):
+        # generate_sources' signals are the rows of one block, which mix sums
+        # without stacking; any other sources are stacked into a new array.
+        spec = MixSpec(num_sources=6, duration=0.5, seed=5)
+        sources = generate_sources(spec, synthetic_kinds(6))
+        block = sources[0].samples.base
+        assert block.shape == (6, 4000)
+        assert all(s.samples.base is block for s in sources)
+        copies = [AudioSignal(s.samples.copy(), s.sample_rate) for s in sources]
+        stacked = []
+        real_stack = np.stack
+        monkeypatch.setattr(np, "stack", lambda rows: stacked.append(len(rows)) or real_stack(rows))
+        cases = [(sources, copies, []), (sources[::-1], copies[::-1], [6]), (sources[:4], copies[:4], [4])]
+        for rows, rows_copied, block_stacks in cases:
+            stacked.clear()
+            mixture, gains = mix(rows, (0.0, 5.0), seed=5)
+            assert stacked == block_stacks
+            want_mixture, want_gains = mix(rows_copied, (0.0, 5.0), seed=5)
+            assert stacked == block_stacks + [len(rows)]
+            assert mixture.samples.tobytes() == want_mixture.samples.tobytes()
+            assert gains.tobytes() == want_gains.tobytes()
+
     def test_clipping_rescales_globally(self):
         s = sine(440, amp=0.9)
         twin = AudioSignal(s.samples.copy(), s.sample_rate)  # in phase: sum clips

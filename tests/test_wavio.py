@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sepmatch import AudioSignal, WavFormatError, read_wav, write_wav
+from sepmatch import AudioSignal, InvalidInputError, WavFormatError, read_wav, write_wav
 from sepmatch.cli import main
 
 from conftest import GUID_TAIL, LAYOUTS, encode_wav, riff_bytes, sine
@@ -81,6 +81,15 @@ class TestRead:
         path.write_bytes(wav_bytes(fmt=3, bits=32, payload=payload))
         loaded = read_wav(path)
         assert np.allclose(loaded.samples, [0.25, -0.75, 1.0, -1.0])
+
+    @pytest.mark.parametrize("bits", [0x7F85845E, 0x7FC00000], ids=["signalling", "quiet"])
+    def test_float32_nan_is_refused_without_a_warning(self, tmp_path, bits):
+        # Casting a signalling NaN to float64 used to raise numpy's "invalid
+        # value encountered in cast" RuntimeWarning ahead of the refusal.
+        path = tmp_path / "nan.wav"
+        path.write_bytes(wav_bytes(fmt=3, bits=32, payload=struct.pack("<fI", 0.25, bits)))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            read_wav(path)
 
     @pytest.mark.parametrize(
         "fmt, bits, payload",
