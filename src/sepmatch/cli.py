@@ -8,9 +8,11 @@ stdout (or named files); stderr carries diagnostics only.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -223,7 +225,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: mallopt(3) parameters from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds for this process, once.
+
+    glibc raises both whenever it frees an mmapped chunk, so whether a
+    command's few-MB arrays reuse heap pages or are faulted in afresh and
+    handed back on every call depends on what the process freed before. At
+    fixed thresholds a repeated in-process command reuses its pages; other
+    C libraries are left as they are.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest dynamic value
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     args = _build_parser().parse_args(argv)
     try:
         args.handler(args)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -542,6 +543,47 @@ def test_parser_reuse_leaks_nothing(capsys, monkeypatch, tmp_path, golden_file):
         assert untimed(together[1]) == untimed(alone.stdout), argv
         assert together[2] == alone.stderr, argv
     assert together[0] == 0 and json.loads(together[1])["num_sources"] == 3
+
+
+FAULTS_PER_COMMAND = """
+import contextlib, io, json, resource, sys
+from sepmatch.cli import main
+
+def faults(argv):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+commands = json.loads(sys.argv[1])
+for argv in commands:
+    faults(argv)
+print(json.dumps([faults(argv) for _ in range(3) for argv in commands]))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="pins glibc's malloc thresholds",
+)
+def test_repeated_evaluate_reuses_its_pages(tmp_path):
+    # At glibc's sliding thresholds a fresh process handed a C = 20 op's
+    # 256 KB signals back after each call and faulted them in on the next.
+    rng = np.random.default_rng(3)
+    commands = []
+    for c in (20, 2):
+        paths = []
+        for k in range(2 * c + 1):
+            paths.append(str(tmp_path / f"c{c}_{k:02d}.wav"))
+            write_wav(paths[-1], AudioSignal(0.3 * rng.standard_normal(32000), 8000))
+        commands.append(["evaluate", "--targets", *paths[:c], "--estimates", *paths[c:-1],
+                         "--mixture", paths[-1]])
+    env = {**os.environ, "PYTHONPATH": str(Path(sepmatch.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_COMMAND, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert max(json.loads(done.stdout)) < 64  # one C = 20 op holds ~2 600 pages
 
 
 def evaluate_corpus(out_dir, c, seed, silent_target=False):
