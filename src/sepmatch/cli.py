@@ -32,9 +32,12 @@ from .bench import (
     sweep_solvers,
 )
 from .errors import GuardLimitError, InvalidInputError
-from .metrics import SeparationInstance, hungarian_loss, si_sdr_improvement
+from .metrics import EncodedInstance, SeparationInstance, hungarian_loss, si_sdr_improvement
 from .mixtures import SYNTHETIC_KINDS, MixSpec, generate_sources, mix, truncate_to_min
-from .wavio import read_wav, write_wav
+from .wavio import decode_frames, frames_mean, parse_wav, read_wav, write_wav
+
+# `evaluate` no longer calls `read_wav`, `truncate_to_min` or `SeparationInstance`;
+# they stay importable here because perfbench/tracing.py times calls by these names.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,20 +65,16 @@ def _cmd_solve(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     paths = [*args.targets, *args.estimates, args.mixture]
-    signals = [read_wav(p) for p in paths]
-    rates = {s.sample_rate for s in signals}
-    if len(rates) > 1:
-        detail = ", ".join(f"{p}: {s.sample_rate} Hz" for p, s in zip(paths, signals))
+    parsed = [parse_wav(p) for p in paths]
+    if len({rate for _, rate in parsed}) > 1:
+        detail = ", ".join(f"{p}: {rate} Hz" for p, (_, rate) in zip(paths, parsed))
         raise InvalidInputError(f"sample-rate mismatch across inputs ({detail})")
     # Real separated outputs often differ by a few samples; harmonize by
-    # truncating everything to the shortest input.
-    signals = truncate_to_min(signals)
+    # scoring every input over the shortest one's samples.
+    shortest = min(frames.size for frames, _ in parsed)
+    rows = [frames[:shortest] for frames, _ in parsed]
     n = len(args.targets)
-    instance = SeparationInstance(
-        targets=tuple(signals[:n]),
-        estimates=tuple(signals[n:-1]),
-        mixture=signals[-1],
-    )
+    instance = EncodedInstance(rows[:n], rows[n:-1], rows[-1], frames_mean, decode_frames)
     loss = hungarian_loss(instance)
     improvement = si_sdr_improvement(instance, loss.permutation)
     matched_si_snr = -loss.per_pair

@@ -5,10 +5,15 @@ The pairwise matching loss of a C-source instance is built in two steps:
 SI-SNR, then either the polynomial solver (`hungarian_loss`) or exhaustive
 enumeration (`pit_loss`) picks the permutation minimizing the mean loss.
 
-Every score comes from one Gram pass over the mean-removed signals in
-blocks of `_BLOCK` samples, so memory is one (signals x _BLOCK) buffer, not
-C x samples. An instance is scored once, its mixture an extra estimate
-column; `si_snr` is the 1x1 case.
+Every score comes from one kernel: a pass for the means, then one Gram
+pass that decodes and centres the signals slab by slab and multiplies them
+in blocks of `_BLOCK` samples. Its float64 data lives in one (signals x
+_SLAB) buffer plus one row scratch, not in C x samples; only a rare
+near-silent or near-perfect pair decodes a whole row again. The rows are
+float64 signals (`SeparationInstance`, `si_snr`) or stored encodings decoded
+on the fly (`EncodedInstance`, e.g. WAV frames), with the same scores and
+errors. An instance is scored once, its mixture an extra estimate column;
+`si_snr` is the 1x1 case.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -28,8 +34,12 @@ SI_SNR_CLAMP_DB = 60.0
 #: Residual-power floor guarding the zero-error (perfect match) case.
 SI_SNR_EPS = 1e-8
 
-#: Samples per block of the scoring kernel's pass over the signals.
+#: Samples per block of the scoring kernel's Gram products.
 _BLOCK = 2048
+
+#: Samples per slab the kernel decodes and centres at once: a few blocks, so
+#: that one Python step serves several products and the buffer stays in cache.
+_SLAB = 4 * _BLOCK
 
 #: Residuals below this (SI-SNR above ~30 dB) are measured from the samples: 1 - p cancels.
 _RESIDUAL_RECHECK = 1e-3
@@ -77,9 +87,21 @@ def _check_aligned(signals) -> None:
     rates = {s.sample_rate for s in signals}
     if len(rates) > 1:
         raise InvalidInputError(f"signals disagree on sample rate: {sorted(rates)}")
-    lengths = {len(s) for s in signals}
+    _check_lengths(len(s) for s in signals)
+
+
+def _check_lengths(lengths) -> None:
+    lengths = set(lengths)
     if len(lengths) > 1:
         raise InvalidInputError(f"signals disagree on length: {sorted(lengths)}")
+
+
+def _check_counts(targets: int, estimates: int) -> None:
+    """Raise unless an instance has as many estimates as targets, and at least 2."""
+    if targets != estimates:
+        raise InvalidInputError(f"{targets} targets but {estimates} estimates")
+    if targets < 2:
+        raise InvalidInputError("an instance needs at least 2 sources")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +116,7 @@ class SeparationInstance:
         targets, estimates = tuple(self.targets), tuple(self.estimates)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "estimates", estimates)
-        if len(targets) != len(estimates):
-            raise InvalidInputError(f"{len(targets)} targets but {len(estimates)} estimates")
-        if len(targets) < 2:
-            raise InvalidInputError("an instance needs at least 2 sources")
+        _check_counts(len(targets), len(estimates))
         _check_aligned(targets + estimates + (self.mixture,))
 
     @property
@@ -107,8 +126,44 @@ class SeparationInstance:
     @cached_property
     def _scores(self) -> np.ndarray:
         """Cached SI-SNR of each target against each estimate, then against the mixture."""
-        columns = (*self.estimates, self.mixture)
-        return _si_snr_matrix([s.samples for s in self.targets], [s.samples for s in columns])
+        rows = [s.samples for s in (*self.targets, *self.estimates, self.mixture)]
+        return _si_snr_matrix(rows, self.size)
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedInstance:
+    """Targets, estimates and mixture as equal-length rows still in a stored encoding.
+
+    Scored as the SeparationInstance of the decoded rows would be, bit for
+    bit, but each row is decoded only a slab at a time while it is scored:
+    `decode(part, out)` writes a part of a row into the float64 buffer `out`
+    and returns it, and `mean(row, scratch)` returns the float64 mean of the
+    decoded row, decoding into `scratch` if it must. The rows must decode to
+    finite samples.
+    """
+
+    targets: tuple[np.ndarray, ...]
+    estimates: tuple[np.ndarray, ...]
+    mixture: np.ndarray
+    mean: Callable[[np.ndarray, np.ndarray], float]
+    decode: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __post_init__(self) -> None:
+        targets, estimates = tuple(self.targets), tuple(self.estimates)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "estimates", estimates)
+        _check_counts(len(targets), len(estimates))
+        _check_lengths(row.size for row in (*targets, *estimates, self.mixture))
+
+    @property
+    def size(self) -> int:
+        return len(self.targets)
+
+    @cached_property
+    def _scores(self) -> np.ndarray:
+        """As SeparationInstance._scores."""
+        rows = [*self.targets, *self.estimates, self.mixture]
+        return _si_snr_matrix(rows, self.size, self.mean, self.decode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,24 +175,39 @@ class MatchedLoss:
     per_pair: np.ndarray
 
 
-def _si_snr_matrix(targets, estimates) -> np.ndarray:
-    """SI-SNR of every (target, estimate) pair of equal-length float64 arrays.
+def _row_mean(row: np.ndarray, scratch: np.ndarray) -> float:
+    return row.mean()
 
-    From the centred powers tt, ee and cross products G, the unit-energy
-    estimate's projection onto the target has power p = G**2 / (tt * ee) and
-    the residual 1 - p. Raises for the first bad pair in row-major order.
+
+def _copied(part: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[...] = part
+    return out
+
+
+def _si_snr_matrix(rows, nt: int, mean=_row_mean, decode=_copied) -> np.ndarray:
+    """SI-SNR of each of the first `nt` rows (targets) against each later row (estimates).
+
+    The rows are equal-length float64 arrays, or encoded rows that `decode`
+    and `mean` read as `EncodedInstance` describes. From the centred powers
+    tt, ee and cross products G, the unit-energy estimate's projection onto
+    the target has power p = G**2 / (tt * ee) and the residual 1 - p. Raises
+    for the first bad pair in row-major order.
     """
-    rows, nt, size = [*targets, *estimates], len(targets), targets[0].size
+    size = rows[0].size
+    scratch = np.empty(size)  # one whole decoded row, for `mean` and the rechecks
     with np.errstate(all="ignore"):  # overflow is detected and rejected below
-        means = [row.mean() for row in rows]
-        gram, power = np.zeros((nt, len(estimates))), np.zeros(len(rows))
-        buffer = np.empty((len(rows), min(_BLOCK, size)))
-        for start in range(0, size, _BLOCK):
-            block = buffer[:, : min(_BLOCK, size - start)]
-            for row, mean, out in zip(rows, means, block):
-                np.subtract(row[start : start + _BLOCK], mean, out=out)
-            gram += block[:nt] @ block[nt:].T
-            power += np.einsum("ij,ij->i", block, block)
+        means = np.array([mean(row, scratch) for row in rows])
+        gram, power = np.zeros((nt, len(rows) - nt)), np.zeros(len(rows))
+        buffer = np.empty((len(rows), min(_SLAB, size)))
+        for start in range(0, size, _SLAB):
+            slab = buffer[:, : min(_SLAB, size - start)]
+            for row, out in zip(rows, slab):
+                decode(row[start : start + _SLAB], out)
+            slab -= means[:, None]
+            for at in range(0, slab.shape[1], _BLOCK):
+                block = slab[:, at : at + _BLOCK]
+                gram += block[:nt] @ block[nt:].T
+                power += np.einsum("ij,ij->i", block, block)
         tt, ee = power[:nt, None], power[nt:]
         overflow = ~(np.isfinite(gram) & np.isfinite(tt) & np.isfinite(ee))
         # A constant signal is zero-energy once mean-removed, but float rounding
@@ -148,7 +218,8 @@ def _si_snr_matrix(targets, estimates) -> np.ndarray:
         norms, floor = np.sqrt(power), 1e-12 * math.sqrt(size)
         silent = ~(norms > floor * (2.0 * (np.abs(means) + norms)))
         for k in np.flatnonzero(silent):
-            silent[k] = norms[k] <= floor * max(rows[k].max(), -rows[k].min())
+            raw = decode(rows[k], scratch)
+            silent[k] = norms[k] <= floor * max(raw.max(), -raw.min())
         bad = np.argwhere(overflow | silent[:nt, None])
         if bad.size:
             i, j = bad[0]
@@ -158,7 +229,8 @@ def _si_snr_matrix(targets, estimates) -> np.ndarray:
         p = (gram / np.sqrt(tt) / np.sqrt(ee)) ** 2
         residual = 1.0 - p
         for i, j in zip(*np.nonzero((residual < _RESIDUAL_RECHECK) & ~silent[nt:])):
-            miss = rows[nt + j] - means[nt + j] - gram[i, j] / tt[i, 0] * (rows[i] - means[i])
+            miss = decode(rows[nt + j], scratch) - means[nt + j]
+            miss -= gram[i, j] / tt[i, 0] * (decode(rows[i], scratch) - means[i])
             residual[i, j] = miss @ miss / ee[j]
         scores = 10.0 * np.log10(p / (residual + SI_SNR_EPS))  # p == 0 gives -inf
     scores = np.clip(scores, -SI_SNR_CLAMP_DB, SI_SNR_CLAMP_DB)
@@ -181,10 +253,10 @@ def si_snr(target, estimate) -> float:
     t, e = (x.samples if isinstance(x, AudioSignal) else _samples(x) for x in (target, estimate))
     if t.size != e.size:
         raise InvalidInputError(f"length mismatch: target {t.size} vs estimate {e.size}")
-    return float(_si_snr_matrix([t], [e])[0, 0])
+    return float(_si_snr_matrix([t, e], 1)[0, 0])
 
 
-def si_sdr_improvement(instance: SeparationInstance, permutation) -> np.ndarray:
+def si_sdr_improvement(instance: SeparationInstance | EncodedInstance, permutation) -> np.ndarray:
     """Per-source gain of the matched estimates over using the raw mixture.
 
     Element i is si_snr(targets[i], estimates[perm[i]]) minus
@@ -197,7 +269,7 @@ def si_sdr_improvement(instance: SeparationInstance, permutation) -> np.ndarray:
     return instance._scores[rows, perm] - instance._scores[:, -1]
 
 
-def pairwise_cost_matrix(instance: SeparationInstance) -> CostMatrix:
+def pairwise_cost_matrix(instance: SeparationInstance | EncodedInstance) -> CostMatrix:
     """C-by-C matrix with entry (i, j) = -si_snr(targets[i], estimates[j])."""
     return CostMatrix(-instance._scores[:, :-1])
 
@@ -207,13 +279,13 @@ def _matched_loss(matrix: CostMatrix, permutation: np.ndarray) -> MatchedLoss:
     return MatchedLoss(permutation, float(per_pair.mean()), per_pair)
 
 
-def hungarian_loss(instance: SeparationInstance) -> MatchedLoss:
+def hungarian_loss(instance: SeparationInstance | EncodedInstance) -> MatchedLoss:
     """Minimum mean pairwise loss via the polynomial assignment solver."""
     matrix = pairwise_cost_matrix(instance)
     return _matched_loss(matrix, solve_hungarian(matrix).permutation)
 
 
-def pit_loss(instance: SeparationInstance) -> MatchedLoss:
+def pit_loss(instance: SeparationInstance | EncodedInstance) -> MatchedLoss:
     """Same contract as hungarian_loss, by exhaustive enumeration (the oracle)."""
     matrix = pairwise_cost_matrix(instance)
     return _matched_loss(matrix, solve_bruteforce(matrix).permutation)

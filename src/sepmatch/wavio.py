@@ -3,9 +3,11 @@
 Reads 16-bit PCM and 32-bit IEEE float payloads, from plain or
 WAVE_FORMAT_EXTENSIBLE headers (first channel of multichannel files);
 writes mono 16-bit PCM with no dithering. The reader walks the chunks as
-views of the file's bytes and copies a payload only when it decodes it.
-Kept dependency-free so the error surface (malformed headers, named
-unsupported encodings) stays exact.
+views of the file's bytes: `parse_wav` checks a file and returns its
+first-channel frames still encoded, and `decode_frames` turns frames into
+float64 samples in a caller's buffer, so a scorer can decode a file a slab
+at a time instead of whole. Kept dependency-free so the error surface
+(malformed headers, named unsupported encodings) stays exact.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import WavFormatError
+from .errors import InvalidInputError, WavFormatError
 from .metrics import AudioSignal
 
 _PCM = 1
@@ -27,19 +29,36 @@ _EXTENSIBLE = 0xFFFE
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
-def _clipped(frames: np.ndarray) -> np.ndarray:
-    # Casting a signalling NaN warns; AudioSignal's finite check refuses it.
-    with np.errstate(invalid="ignore"):
-        samples = frames.astype(np.float64)
-    return np.clip(samples, -1.0, 1.0, out=samples)
+#: Decodable (format code, bits): the payload's frame dtype.
+_FRAME_DTYPES = {(_PCM, 16): "<i2", (_IEEE_FLOAT, 32): "<f4"}
+
+#: 16-bit PCM sample scale. Scaling by 2**-15 is exact, so it equals division by 32768.
+_PCM16_SCALE = 2.0**-15
 
 
-#: Decodable (format code, bits): payload dtype and its map to new float64
-#: samples. Scaling by 2**-15 is exact, so it equals division by 32768.
-_DECODERS = {
-    (_PCM, 16): ("<i2", lambda frames: np.multiply(frames, 2.0**-15)),
-    (_IEEE_FLOAT, 32): ("<f4", _clipped),
-}
+def decode_frames(frames: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write 16-bit PCM or 32-bit float `frames` into `out` as float64 samples.
+
+    `out` has the frames' length. PCM samples are scaled by 1/32768 and float
+    samples clipped to [-1, 1]. Returns `out`.
+    """
+    if frames.dtype.kind == "i":
+        return np.multiply(frames, _PCM16_SCALE, out=out)
+    return np.clip(frames, -1.0, 1.0, out=out)
+
+
+def frames_mean(frames: np.ndarray, scratch: np.ndarray) -> float:
+    """The float64 mean of the decoded `frames`, as `mean()` of the decoded row gives it.
+
+    A 16-bit row's sum is exact in int64, and so is every partial sum of
+    k * 2**-15 in float64 (at most 46 significant bits), so the pairwise float
+    sum equals the integer one and no decode is needed. A float row is decoded
+    into `scratch` (float64, at least the frames' length) and summed there.
+    """
+    if frames.dtype.kind == "i":
+        return frames.sum(dtype=np.int64) * _PCM16_SCALE / frames.size
+    return decode_frames(frames, scratch[: frames.size]).mean()
+
 
 #: Highest rate `write_wav` accepts: the 16-bit mono header stores the byte
 #: rate, 2 x sample rate, as a u32.
@@ -60,14 +79,15 @@ _FORMAT_NAMES = {
 }
 
 
-def read_wav(path) -> AudioSignal:
-    """Read a WAV file into a mono AudioSignal.
+def parse_wav(path) -> tuple[np.ndarray, int]:
+    """Check a WAV file and return its first channel's frames and sample rate.
 
-    16-bit PCM samples are scaled by 1/32768; 32-bit float samples are
-    clipped to [-1, 1]. A WAVE_FORMAT_EXTENSIBLE header with a standard
-    sub-format GUID reads as its sub-format. Multichannel files yield the
-    first channel. Any other encoding raises WavFormatError naming it; I/O
-    problems surface as OSError.
+    The frames are a view of the file's bytes, still encoded: 16-bit PCM
+    ("<i2") or 32-bit IEEE float ("<f4"); `decode_frames` turns them into
+    samples. A WAVE_FORMAT_EXTENSIBLE header with a standard sub-format GUID
+    reads as its sub-format. Any other encoding raises WavFormatError naming
+    it, a float NaN in the first channel raises InvalidInputError naming the
+    file, and I/O problems surface as OSError.
     """
     path = Path(path)
     data = memoryview(path.read_bytes())
@@ -96,21 +116,34 @@ def read_wav(path) -> AudioSignal:
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1 or sample_rate < 1:
         raise WavFormatError(f"{path}: malformed fmt chunk (channels={channels}, rate={sample_rate})")
-    if (audio_format, bits) not in _DECODERS:
+    if (audio_format, bits) not in _FRAME_DTYPES:
         name = _FORMAT_NAMES.get(audio_format, f"format 0x{audio_format:04x}")
         raise WavFormatError(
             f"{path}: unsupported encoding: {name} with {bits}-bit samples "
             f"(supported: 16-bit PCM, 32-bit IEEE float)"
         )
-    dtype, to_float = _DECODERS[audio_format, bits]
     width = bits // 8
-    samples = to_float(np.frombuffer(payload[: len(payload) - len(payload) % width], dtype=dtype))
+    frames = np.frombuffer(payload[: len(payload) - len(payload) % width],
+                           dtype=_FRAME_DTYPES[audio_format, bits])
     if channels > 1:
-        usable = (samples.size // channels) * channels
-        samples = samples[:usable].reshape(-1, channels)[:, 0]
-    if samples.size == 0:
+        frames = frames[: (frames.size // channels) * channels].reshape(-1, channels)[:, 0]
+    if frames.size == 0:
         raise WavFormatError(f"{path}: zero-length file (header only, no samples)")
-    return AudioSignal(np.ascontiguousarray(samples), int(sample_rate))
+    with np.errstate(invalid="ignore"):  # comparing a signalling NaN may flag it
+        if frames.dtype.kind == "f" and np.isnan(frames).any():
+            raise InvalidInputError(f"{path}: signal contains non-finite samples")
+    return frames, int(sample_rate)
+
+
+def read_wav(path) -> AudioSignal:
+    """Read a WAV file into a mono AudioSignal: `parse_wav`, then `decode_frames`.
+
+    16-bit PCM samples are scaled by 1/32768; 32-bit float samples are
+    clipped to [-1, 1]. Multichannel files yield the first channel. Errors
+    are those of `parse_wav`.
+    """
+    frames, sample_rate = parse_wav(path)
+    return AudioSignal(decode_frames(frames, np.empty(frames.size)), sample_rate)
 
 
 def write_wav(path, signal: AudioSignal) -> None:

@@ -14,7 +14,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sepmatch
-from sepmatch import AudioSignal, matrix_to_json, matrix_to_text, read_wav, write_wav
+from sepmatch import (
+    AudioSignal,
+    InvalidInputError,
+    SeparationInstance,
+    hungarian_loss,
+    matrix_to_json,
+    matrix_to_text,
+    read_wav,
+    si_sdr_improvement,
+    truncate_to_min,
+    write_wav,
+)
+from sepmatch import metrics
 from sepmatch.cli import main
 
 from conftest import LAYOUTS, encode_wav, riff_bytes, sine
@@ -366,6 +378,120 @@ class TestEvaluate:
 
         assert evaluate("") == evaluate("_cut")
         assert json.loads(evaluate(""))["permutation"] == [1, 0]
+
+
+def library_evaluate(paths, c):
+    """`evaluate`'s exit code, stdout and stderr rebuilt through the library:
+    decode whole, truncate, score."""
+    try:
+        signals = truncate_to_min([read_wav(path) for path in paths])
+        instance = SeparationInstance(tuple(signals[:c]), tuple(signals[c:-1]), signals[-1])
+        loss = hungarian_loss(instance)
+        improvement = si_sdr_improvement(instance, loss.permutation)
+    except InvalidInputError as exc:
+        return 2, "", f"error: {exc}\n"
+    matched = -loss.per_pair
+    return 0, json.dumps({
+        "permutation": [int(j) for j in loss.permutation],
+        "per_source_si_snr": [float(x) for x in matched],
+        "per_source_si_sdri": [float(x) for x in improvement],
+        "mean_si_snr": float(matched.mean()),
+        "mean_si_sdri": float(improvement.mean()),
+        "mean_loss": loss.mean_loss,
+    }) + "\n", ""
+
+
+BLOCK, SLAB = metrics._BLOCK, metrics._SLAB
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    c=st.integers(2, 4),
+    n=st.sampled_from([1, 9, BLOCK - 1, BLOCK + 1, SLAB - 1, SLAB + 1, 3 * SLAB + 17]),
+    seed=st.integers(0, 2**32 - 1),
+    layouts=st.lists(st.sampled_from(LAYOUTS), min_size=9, max_size=9),
+    extra=st.lists(st.integers(0, 7), min_size=9, max_size=9),
+    shortest=st.integers(0, 8),
+    odd_estimate=st.sampled_from([None, "copy", "constant", "zero"]),
+    full_scale=st.booleans(),
+)
+def test_evaluate_matches_the_library_path(capsys, tmp_path, c, n, seed, layouts, extra,
+                                           shortest, odd_estimate, full_scale):
+    # Inputs are 16-bit codes k, written as k / 32767 so that PCM files hold
+    # k exactly (full scale reaches -32768) and float files clip past 1.
+    rng = np.random.default_rng(seed)
+    size = n + 7
+    if full_scale:  # the exact integer mean must hold at the extreme codes too
+        targets = rng.integers(-32768, 32768, (c, size))
+        targets[:, ::2] = rng.choice([-32768, 32767], (c, (size + 1) // 2))
+    else:
+        t = np.arange(size) / 8000
+        waves = [np.sin(2 * np.pi * rng.uniform(50, 3000) * t) for _ in range(c)]
+        dc = rng.uniform(-0.3, 0.3, c)  # DC offsets
+        targets = np.round((0.4 * np.array(waves) + dc[:, None]) * 32767)
+        targets += rng.integers(-300, 301, (c, size))
+    estimates = [targets[k] + rng.integers(-2000, 2001, size) for k in rng.permutation(c)]
+    if odd_estimate is not None:
+        j = int(rng.integers(c))
+        estimates[j] = {"copy": targets[int(rng.integers(c))].copy(),
+                        "constant": np.full(size, int(rng.integers(-20000, 20000))),
+                        "zero": np.zeros(size)}[odd_estimate]
+    mixture = np.round(targets.sum(axis=0) / c)
+    codes = [np.clip(x, -32768, 32767) for x in (*targets, *estimates, mixture)]
+    extra[shortest % len(codes)] = 0  # the shortest file may sit at any position
+    paths = []
+    for k, x in enumerate(codes):
+        paths.append(tmp_path / f"{k}.wav")
+        paths[-1].write_bytes(encode_wav(x[: n + extra[k]] / 32767, layouts[k]))
+    argv = ["evaluate", "--targets", *paths[:c], "--estimates", *paths[c:-1],
+            "--mixture", paths[-1]]
+    assert run(capsys, argv) == library_evaluate(paths, c)
+
+
+def nan_wav(path, n, at):
+    """A float32 WAV of n samples of a sine with a NaN at sample `at`."""
+    samples = 0.5 * np.sin(np.arange(n) * 0.3)
+    samples[at] = np.nan
+    path.write_bytes(encode_wav(samples, "plain_float32"))
+    return path
+
+
+@pytest.mark.parametrize("case", ["nan_then_malformed", "malformed_then_nan", "nan_in_tail",
+                                  "rate_and_count", "count_and_silent_target"])
+def test_first_fault_wins(capsys, tmp_path, case):
+    good = [tmp_path / f"good{k}.wav" for k in range(4)]
+    for k, path in enumerate(good):
+        write_wav(path, sine(300 + 200 * k, n=800))
+    nan = tmp_path / "nan.wav"
+    junk = tmp_path / "junk.wav"
+    junk.write_bytes(b"OggS" + bytes(60))
+    if case == "nan_then_malformed":
+        nan_wav(nan, 800, 17)
+        targets, estimates = [good[0], nan], [good[1], junk]
+        message = f"{nan}: signal contains non-finite samples"
+    elif case == "malformed_then_nan":
+        nan_wav(nan, 800, 17)
+        targets, estimates = [good[0], junk], [good[1], nan]
+        message = f"{junk}: malformed header (not a RIFF/WAVE file)"
+    elif case == "nan_in_tail":
+        # Only samples past the shortest input are NaN; the file is still refused.
+        nan_wav(nan, 805, 802)
+        targets, estimates = [good[0], good[1]], [nan, good[0]]
+        message = f"{nan}: signal contains non-finite samples"
+    elif case == "rate_and_count":
+        fast = tmp_path / "fast.wav"
+        write_wav(fast, sine(440, n=1600, rate=16000))
+        targets, estimates = [good[0], good[1], fast], [good[1], good[0]]
+        message = (f"sample-rate mismatch across inputs ({good[0]}: 8000 Hz, {good[1]}: 8000 Hz, "
+                   f"{fast}: 16000 Hz, {good[1]}: 8000 Hz, {good[0]}: 8000 Hz, {good[2]}: 8000 Hz)")
+    else:
+        flat = tmp_path / "flat.wav"
+        write_wav(flat, AudioSignal(np.full(800, 0.25), 8000))
+        targets, estimates = [flat, good[0], good[1]], [good[1], good[0]]
+        message = "3 targets but 2 estimates"
+    argv = ["evaluate", "--targets", *targets, "--estimates", *estimates, "--mixture", good[2]]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 class TestBenchCli:

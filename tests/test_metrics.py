@@ -279,12 +279,12 @@ class TestDomainTypes:
 class TestScoringKernel:
     """The one blocked Gram pass behind si_snr, the cost matrix and SI-SDRi."""
 
-    BLOCK = metrics._BLOCK
+    BLOCK, SLAB = metrics._BLOCK, metrics._SLAB
 
     @settings(max_examples=60, deadline=None)
     @given(
         c=st.integers(2, 8),
-        n=st.sampled_from([8, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]),
+        n=st.sampled_from([8, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17, SLAB - 1, SLAB + 1]),
         seed=st.integers(0, 2**32 - 1),
         noise_db=st.floats(-10.0, 75.0),
         silent=st.sampled_from([None, "zeros", "constant"]),
@@ -345,8 +345,8 @@ class TestScoringKernel:
     def test_one_scoring_pass_feeds_loss_and_improvement(self, monkeypatch):
         kernel, passes = metrics._si_snr_matrix, []
 
-        def spy(targets, estimates):
-            passes.append(kernel(targets, estimates))
+        def spy(*args):
+            passes.append(kernel(*args))
             return passes[-1]
 
         monkeypatch.setattr(metrics, "_si_snr_matrix", spy)
