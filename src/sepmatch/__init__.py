@@ -3,8 +3,9 @@ signal separation.
 
 The package is organized around five pieces: assignment solvers
 (`assignment`), SI-SNR based metrics and matched losses (`metrics`),
-deterministic synthetic mixtures (`mixtures`), WAV I/O (`wavio`), and a
-benchmark harness (`bench`). A CLI front end lives in `cli`.
+deterministic synthetic mixtures (`mixtures`), the audio signal type with
+its checks, sample codec and WAV I/O (`wavio`), and a benchmark harness
+(`bench`). A CLI front end lives in `cli`.
 """
 
 from .assignment import (
@@ -45,7 +46,6 @@ from .errors import (
 from .metrics import (
     SI_SNR_CLAMP_DB,
     SI_SNR_EPS,
-    AudioSignal,
     MatchedLoss,
     SeparationInstance,
     hungarian_loss,
@@ -63,7 +63,7 @@ from .mixtures import (
     mix,
     truncate_to_min,
 )
-from .wavio import read_wav, write_wav
+from .wavio import AudioSignal, read_wav, write_wav
 
 __version__ = "0.1.0"
 

@@ -331,6 +331,11 @@ def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(match_col, axis=-1), adjustments
 
 
+def _check_guard(guard: int) -> None:
+    if guard < 1:
+        raise InvalidInputError(f"guard must be >= 1, got {guard}")
+
+
 def solve_bruteforce(matrix, guard: int = BRUTEFORCE_GUARD) -> AssignmentResult:
     """Exhaustively enumerate all C! permutations and keep the cheapest.
 
@@ -342,8 +347,7 @@ def solve_bruteforce(matrix, guard: int = BRUTEFORCE_GUARD) -> AssignmentResult:
     """
     entries = _validated_entries(matrix)
     size = entries.shape[0]
-    if guard < 1:
-        raise InvalidInputError(f"guard must be >= 1, got {guard}")
+    _check_guard(guard)
     if size > guard:
         raise GuardLimitError(
             f"C={size} exceeds the brute-force guard of {guard}; "

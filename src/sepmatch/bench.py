@@ -21,6 +21,7 @@ import numpy as np
 from .assignment import (
     BRUTEFORCE_GUARD,
     CostMatrix,
+    _check_guard,
     solve_batch,
     solve_bruteforce,
     solve_hungarian,
@@ -134,14 +135,15 @@ def sweep_solvers(
 
     Brute force only runs when C fits under `guard`; larger sizes produce a
     skipped row carrying the reason instead of fabricated timings. Each
-    trial is timed as its own solver call. Every C is checked before any
-    matrix is drawn, and a C whose C! is too long for `str` is refused.
+    trial is timed as its own solver call. Every C and the guard are checked
+    before any matrix is drawn, and a C whose C! is too long for `str` is refused.
     """
     c_values = [int(c) for c in c_values]
     if not c_values:
         raise EmptyInputError("c_values is empty")
     if any(c < 1 for c in c_values):
         raise InvalidInputError(f"c_values must be positive: {c_values}")
+    _check_guard(guard)
     unprintable = _first_unprintable_factorial()
     for c in c_values:
         _check_stack(c, trials)

@@ -34,7 +34,7 @@ from .bench import (
 from .errors import GuardLimitError, InvalidInputError
 from .metrics import EncodedInstance, SeparationInstance, hungarian_loss, si_sdr_improvement
 from .mixtures import SYNTHETIC_KINDS, MixSpec, generate_sources, mix, truncate_to_min
-from .wavio import decode_frames, frames_mean, parse_wav, read_wav, write_wav
+from .wavio import parse_wav, read_wav, write_wav
 
 # `evaluate` no longer calls `read_wav`, `truncate_to_min` or `SeparationInstance`;
 # they stay importable here because perfbench/tracing.py times calls by these names.
@@ -74,7 +74,7 @@ def _cmd_evaluate(args) -> None:
     shortest = min(frames.size for frames, _ in parsed)
     rows = [frames[:shortest] for frames, _ in parsed]
     n = len(args.targets)
-    instance = EncodedInstance(rows[:n], rows[n:-1], rows[-1], frames_mean, decode_frames)
+    instance = EncodedInstance(rows[:n], rows[n:-1], rows[-1])
     loss = hungarian_loss(instance)
     improvement = si_sdr_improvement(instance, loss.permutation)
     matched_si_snr = -loss.per_pair

@@ -10,10 +10,10 @@ pass that decodes and centres the signals slab by slab and multiplies them
 in blocks of `_BLOCK` samples. Its float64 data lives in one (signals x
 _SLAB) buffer plus one row scratch, not in C x samples; only a rare
 near-silent or near-perfect pair decodes a whole row again. The rows are
-float64 signals (`SeparationInstance`, `si_snr`) or stored encodings decoded
-on the fly (`EncodedInstance`, e.g. WAV frames), with the same scores and
-errors. An instance is scored once, its mixture an extra estimate column;
-`si_snr` is the 1x1 case.
+float64 signals (`SeparationInstance`, `si_snr`) or WAV frames still encoded
+(`EncodedInstance`), scored alike: the kernel decodes each row by its dtype
+with `wavio`, which owns the signal type and its checks. An instance is
+scored once, its mixture an extra estimate column; `si_snr` is the 1x1 case.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .assignment import CostMatrix, solve_bruteforce, solve_hungarian
-from .errors import EmptyInputError, InvalidInputError
+from .errors import InvalidInputError
+from .wavio import AudioSignal, _check_aligned, _check_lengths, _samples, decode_frames, frames_mean
 
 #: SI-SNR outputs are clamped to +/- this many dB so cost matrices stay finite.
 SI_SNR_CLAMP_DB = 60.0
@@ -43,57 +43,6 @@ _SLAB = 4 * _BLOCK
 
 #: Residuals below this (SI-SNR above ~30 dB) are measured from the samples: 1 - p cancels.
 _RESIDUAL_RECHECK = 1e-3
-
-
-def _samples(values) -> np.ndarray:
-    """`values` as a float64 array, checked 1-D, non-empty and finite."""
-    samples = np.asarray(values, dtype=np.float64)
-    if samples.ndim != 1:
-        raise InvalidInputError(f"samples must be 1-D, got shape {samples.shape}")
-    if samples.size < 1:
-        raise EmptyInputError("signal has no samples")
-    if not np.isfinite(samples).all():
-        raise InvalidInputError("signal contains non-finite samples")
-    return samples
-
-
-@dataclass(frozen=True, eq=False)
-class AudioSignal:
-    """Mono sample buffer plus its sample rate in Hz."""
-
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self) -> None:
-        samples = _samples(self.samples)
-        rate = int(self.sample_rate)
-        if rate < 1:
-            raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", rate)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-
-def _check_aligned(signals) -> None:
-    """Raise unless `signals` is non-empty and shares one sample rate and one length."""
-    if not signals:
-        raise EmptyInputError("no signals given")
-    rates = {s.sample_rate for s in signals}
-    if len(rates) > 1:
-        raise InvalidInputError(f"signals disagree on sample rate: {sorted(rates)}")
-    _check_lengths(len(s) for s in signals)
-
-
-def _check_lengths(lengths) -> None:
-    lengths = set(lengths)
-    if len(lengths) > 1:
-        raise InvalidInputError(f"signals disagree on length: {sorted(lengths)}")
 
 
 def _check_counts(targets: int, estimates: int) -> None:
@@ -132,21 +81,17 @@ class SeparationInstance:
 
 @dataclass(frozen=True, eq=False)
 class EncodedInstance:
-    """Targets, estimates and mixture as equal-length rows still in a stored encoding.
+    """Targets, estimates and mixture as equal-length rows of WAV frames still encoded.
 
     Scored as the SeparationInstance of the decoded rows would be, bit for
-    bit, but each row is decoded only a slab at a time while it is scored:
-    `decode(part, out)` writes a part of a row into the float64 buffer `out`
-    and returns it, and `mean(row, scratch)` returns the float64 mean of the
-    decoded row, decoding into `scratch` if it must. The rows must decode to
-    finite samples.
+    bit, but each row is decoded by its dtype (`wavio.decode_frames`) only a
+    slab at a time while it is scored. The rows must decode to finite
+    samples.
     """
 
     targets: tuple[np.ndarray, ...]
     estimates: tuple[np.ndarray, ...]
     mixture: np.ndarray
-    mean: Callable[[np.ndarray, np.ndarray], float]
-    decode: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         targets, estimates = tuple(self.targets), tuple(self.estimates)
@@ -163,7 +108,7 @@ class EncodedInstance:
     def _scores(self) -> np.ndarray:
         """As SeparationInstance._scores."""
         rows = [*self.targets, *self.estimates, self.mixture]
-        return _si_snr_matrix(rows, self.size, self.mean, self.decode)
+        return _si_snr_matrix(rows, self.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,34 +120,25 @@ class MatchedLoss:
     per_pair: np.ndarray
 
 
-def _row_mean(row: np.ndarray, scratch: np.ndarray) -> float:
-    return row.mean()
-
-
-def _copied(part: np.ndarray, out: np.ndarray) -> np.ndarray:
-    out[...] = part
-    return out
-
-
-def _si_snr_matrix(rows, nt: int, mean=_row_mean, decode=_copied) -> np.ndarray:
+def _si_snr_matrix(rows, nt: int) -> np.ndarray:
     """SI-SNR of each of the first `nt` rows (targets) against each later row (estimates).
 
-    The rows are equal-length float64 arrays, or encoded rows that `decode`
-    and `mean` read as `EncodedInstance` describes. From the centred powers
+    The rows are equal-length float64 arrays or WAV frames; each is decoded
+    by its dtype with `decode_frames` and `frames_mean`. From the centred powers
     tt, ee and cross products G, the unit-energy estimate's projection onto
     the target has power p = G**2 / (tt * ee) and the residual 1 - p. Raises
     for the first bad pair in row-major order.
     """
     size = rows[0].size
-    scratch = np.empty(size)  # one whole decoded row, for `mean` and the rechecks
+    scratch = np.empty(size)  # one whole decoded row, for the means and the rechecks
     with np.errstate(all="ignore"):  # overflow is detected and rejected below
-        means = np.array([mean(row, scratch) for row in rows])
+        means = np.array([frames_mean(row, scratch) for row in rows])
         gram, power = np.zeros((nt, len(rows) - nt)), np.zeros(len(rows))
         buffer = np.empty((len(rows), min(_SLAB, size)))
         for start in range(0, size, _SLAB):
             slab = buffer[:, : min(_SLAB, size - start)]
             for row, out in zip(rows, slab):
-                decode(row[start : start + _SLAB], out)
+                decode_frames(row[start : start + _SLAB], out)
             slab -= means[:, None]
             for at in range(0, slab.shape[1], _BLOCK):
                 block = slab[:, at : at + _BLOCK]
@@ -218,7 +154,7 @@ def _si_snr_matrix(rows, nt: int, mean=_row_mean, decode=_copied) -> np.ndarray:
         norms, floor = np.sqrt(power), 1e-12 * math.sqrt(size)
         silent = ~(norms > floor * (2.0 * (np.abs(means) + norms)))
         for k in np.flatnonzero(silent):
-            raw = decode(rows[k], scratch)
+            raw = decode_frames(rows[k], scratch)
             silent[k] = norms[k] <= floor * max(raw.max(), -raw.min())
         bad = np.argwhere(overflow | silent[:nt, None])
         if bad.size:
@@ -229,8 +165,8 @@ def _si_snr_matrix(rows, nt: int, mean=_row_mean, decode=_copied) -> np.ndarray:
         p = (gram / np.sqrt(tt) / np.sqrt(ee)) ** 2
         residual = 1.0 - p
         for i, j in zip(*np.nonzero((residual < _RESIDUAL_RECHECK) & ~silent[nt:])):
-            miss = decode(rows[nt + j], scratch) - means[nt + j]
-            miss -= gram[i, j] / tt[i, 0] * (decode(rows[i], scratch) - means[i])
+            miss = decode_frames(rows[nt + j], scratch) - means[nt + j]
+            miss -= gram[i, j] / tt[i, 0] * (decode_frames(rows[i], scratch) - means[i])
             residual[i, j] = miss @ miss / ee[j]
         scores = 10.0 * np.log10(p / (residual + SI_SNR_EPS))  # p == 0 gives -inf
     scores = np.clip(scores, -SI_SNR_CLAMP_DB, SI_SNR_CLAMP_DB)

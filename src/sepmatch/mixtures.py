@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .metrics import AudioSignal, _check_aligned
-from .wavio import MAX_WAV_SAMPLES, MAX_WRITE_RATE, read_wav
+from .wavio import MAX_WAV_SAMPLES, MAX_WRITE_RATE, AudioSignal, _check_aligned, read_wav
 
 #: Generated sources are peak-normalized to this amplitude.
 PEAK_AMPLITUDE = 0.9

@@ -1,24 +1,77 @@
-"""Minimal RIFF/WAV reader and writer.
+"""The audio signal type and its checks, the sample codec, and minimal RIFF/WAV I/O.
 
-Reads 16-bit PCM and 32-bit IEEE float payloads, from plain or
+`AudioSignal` is a checked mono float64 buffer and its sample rate. Reads
+16-bit PCM and 32-bit IEEE float payloads, from plain or
 WAVE_FORMAT_EXTENSIBLE headers (first channel of multichannel files);
-writes mono 16-bit PCM with no dithering. The reader walks the chunks as
-views of the file's bytes: `parse_wav` checks a file and returns its
-first-channel frames still encoded, and `decode_frames` turns frames into
-float64 samples in a caller's buffer, so a scorer can decode a file a slab
-at a time instead of whole. Kept dependency-free so the error surface
-(malformed headers, named unsupported encodings) stays exact.
+writes mono 16-bit PCM with no dithering. `parse_wav` checks a file and
+returns its first-channel frames still encoded, as views of the file's
+bytes, and `decode_frames` turns a row of frames (or of float64 samples)
+into float64 samples in a caller's buffer, so a scorer decodes a slab at a
+time. Kept dependency-free so the error surface (malformed headers, named
+unsupported encodings) stays exact.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, WavFormatError
-from .metrics import AudioSignal
+from .errors import EmptyInputError, InvalidInputError, WavFormatError
+
+
+def _samples(values) -> np.ndarray:
+    """`values` as a float64 array, checked 1-D, non-empty and finite."""
+    samples = np.asarray(values, dtype=np.float64)
+    if samples.ndim != 1:
+        raise InvalidInputError(f"samples must be 1-D, got shape {samples.shape}")
+    if samples.size < 1:
+        raise EmptyInputError("signal has no samples")
+    if not np.isfinite(samples).all():
+        raise InvalidInputError("signal contains non-finite samples")
+    return samples
+
+
+@dataclass(frozen=True, eq=False)
+class AudioSignal:
+    """Mono sample buffer plus its sample rate in Hz, an integer value >= 1."""
+
+    samples: np.ndarray
+    sample_rate: int
+
+    def __post_init__(self) -> None:
+        samples = _samples(self.samples)
+        rate = self.sample_rate
+        if not (rate >= 1 and rate % 1 == 0):  # false for NaN; inf % 1 is NaN
+            raise InvalidInputError(f"sample_rate must be an integer >= 1, got {rate!r}")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate", int(rate))
+
+    def __len__(self) -> int:
+        return self.samples.size
+
+    @property
+    def duration(self) -> float:
+        return self.samples.size / self.sample_rate
+
+
+def _check_aligned(signals) -> None:
+    """Raise unless `signals` is non-empty and shares one sample rate and one length."""
+    if not signals:
+        raise EmptyInputError("no signals given")
+    rates = {s.sample_rate for s in signals}
+    if len(rates) > 1:
+        raise InvalidInputError(f"signals disagree on sample rate: {sorted(rates)}")
+    _check_lengths(len(s) for s in signals)
+
+
+def _check_lengths(lengths) -> None:
+    lengths = set(lengths)
+    if len(lengths) > 1:
+        raise InvalidInputError(f"signals disagree on length: {sorted(lengths)}")
+
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -37,13 +90,16 @@ _PCM16_SCALE = 2.0**-15
 
 
 def decode_frames(frames: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write 16-bit PCM or 32-bit float `frames` into `out` as float64 samples.
+    """Write a row of 16-bit PCM, 32-bit float or float64 `frames` into `out` as float64.
 
-    `out` has the frames' length. PCM samples are scaled by 1/32768 and float
-    samples clipped to [-1, 1]. Returns `out`.
+    `out` has the frames' length. PCM samples are scaled by 1/32768, 32-bit
+    floats clipped to [-1, 1] and float64 samples copied unclipped. Returns `out`.
     """
     if frames.dtype.kind == "i":
         return np.multiply(frames, _PCM16_SCALE, out=out)
+    if frames.dtype == np.float64:
+        out[...] = frames
+        return out
     return np.clip(frames, -1.0, 1.0, out=out)
 
 
@@ -52,11 +108,14 @@ def frames_mean(frames: np.ndarray, scratch: np.ndarray) -> float:
 
     A 16-bit row's sum is exact in int64, and so is every partial sum of
     k * 2**-15 in float64 (at most 46 significant bits), so the pairwise float
-    sum equals the integer one and no decode is needed. A float row is decoded
-    into `scratch` (float64, at least the frames' length) and summed there.
+    sum equals the integer one and no decode is needed. A float64 row is
+    averaged as it is; a 32-bit float row is decoded into `scratch` (float64,
+    at least the frames' length) and summed there.
     """
     if frames.dtype.kind == "i":
         return frames.sum(dtype=np.int64) * _PCM16_SCALE / frames.size
+    if frames.dtype == np.float64:
+        return frames.mean()
     return decode_frames(frames, scratch[: frames.size]).mean()
 
 
@@ -138,9 +197,7 @@ def parse_wav(path) -> tuple[np.ndarray, int]:
 def read_wav(path) -> AudioSignal:
     """Read a WAV file into a mono AudioSignal: `parse_wav`, then `decode_frames`.
 
-    16-bit PCM samples are scaled by 1/32768; 32-bit float samples are
-    clipped to [-1, 1]. Multichannel files yield the first channel. Errors
-    are those of `parse_wav`.
+    Multichannel files yield the first channel. Errors are those of `parse_wav`.
     """
     frames, sample_rate = parse_wav(path)
     return AudioSignal(decode_frames(frames, np.empty(frames.size)), sample_rate)

@@ -100,6 +100,17 @@ class TestSweep:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
         assert bench._first_unprintable_factorial() == math.inf
 
+    @pytest.mark.parametrize("guard", [0, -4])
+    def test_guard_below_one_refused_before_any_draw(self, monkeypatch, guard):
+        # Used to be accepted, reporting brute force as skipped above the guard.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused sweep drew or solved a matrix")
+
+        for name in ("_random_matrices", "solve_hungarian", "solve_bruteforce", "solve_sinkhorn"):
+            monkeypatch.setattr(bench, name, no_work)
+        with pytest.raises(InvalidInputError, match=f"guard must be >= 1, got {guard}$"):
+            sweep_solvers([3], trials=2, guard=guard)
+
 
 class TestIterationProfile:
     def test_zero_difficulty_needs_zero_rounds(self):

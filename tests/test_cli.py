@@ -561,6 +561,13 @@ class TestBenchCli:
         assert code == 2 and out == ""
         assert "seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("guard", [0, -4])
+    def test_guard_below_one_exit_2(self, capsys, guard):
+        # Used to exit 0, reporting brute force at C=3 as skipped above the guard.
+        code, out, err = run(capsys, ["bench", "--c-values", 3, "--trials", 2, "--guard", guard])
+        assert code == 2 and out == ""
+        assert f"guard must be >= 1, got {guard}" in err
+
     def test_factorial_past_int_str_limit_exit_2(self, capsys, monkeypatch):
         # Used to solve for seconds, then exit 1 printing the 1559! count.
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)

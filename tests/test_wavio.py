@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sepmatch import AudioSignal, InvalidInputError, WavFormatError, read_wav, write_wav
+from sepmatch.wavio import decode_frames, frames_mean
 from sepmatch.cli import main
 
 from conftest import GUID_TAIL, LAYOUTS, encode_wav, riff_bytes, sine
@@ -40,6 +41,44 @@ def extensible_wav_bytes(sub_format, bits, payload, channels=1, guid_tail=GUID_T
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+class TestAudioSignal:
+    @pytest.mark.parametrize("rate", [8000.7, float("inf"), float("nan")])
+    def test_rate_that_is_not_an_integer_refused(self, rate):
+        # 8000.7 used to truncate to 8000 Hz; inf and nan escaped as bare
+        # OverflowError and ValueError.
+        with pytest.raises(InvalidInputError, match=f"sample_rate .* got {rate!r}$"):
+            AudioSignal(np.zeros(4), rate)
+
+    def test_integral_float_rate_accepted(self):
+        rate = AudioSignal(np.zeros(4), 8000.0).sample_rate
+        assert rate == 8000 and type(rate) is int
+
+
+class TestFloat64Rows:
+    """The codec reads a float64 row as already decoded: copied, never clipped."""
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(15)
+        values = rng.standard_normal(3 * 1001) * 10.0 ** rng.integers(-30, 30, 3 * 1001)
+        values[:4] = [-0.0, 5.0, -3.5, 1e-310]  # outside [-1, 1], negative zero, subnormal
+        # "strided" is a channel of a 3-channel block, as parse_wav returns one.
+        return {"contiguous": values[:1001], "strided": values.reshape(1001, 3)[:, 0]}
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_decode_is_an_exact_copy(self, layout):
+        row = self.rows()[layout]
+        out = np.full(row.size, np.nan)
+        assert decode_frames(row, out) is out
+        assert out.tobytes() == np.ascontiguousarray(row).tobytes()
+        assert np.abs(out).max() > 1.0
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_mean_is_the_row_mean_bit_for_bit(self, layout):
+        row = self.rows()[layout]
+        assert frames_mean(row, np.full(row.size, np.nan)).hex() == row.mean().hex()
 
 
 class TestRoundTrip:
