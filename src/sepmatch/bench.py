@@ -40,6 +40,7 @@ _TEMPLATE_MARGIN = 30.0
 SOLVER_NAMES = ("hungarian", "bruteforce", "sinkhorn")
 
 CSV_HEADER = "solver,c,trials,median_ns,p95_ns,mean_iterations,permutations,skipped"
+PROFILE_CSV_HEADER = "difficulty,mean_iterations"
 
 #: The most float64 entries one numpy array can hold: its byte size must fit in intp.
 _MAX_FLOAT64_ENTRIES = np.iinfo(np.intp).max // 8
@@ -228,10 +229,13 @@ def reports_to_jsonl(reports) -> str:
     return "".join(json.dumps(asdict(r)) + "\n" for r in reports)
 
 
-def reports_to_csv(reports) -> str:
-    """`CSV_HEADER`, then one `BenchReport` per row in field order; `None` is empty."""
+def reports_to_csv(reports, header: str = CSV_HEADER) -> str:
+    """`header`, then one report dataclass per row in field order, CRLF-ended; `None` is empty.
+
+    `CSV_HEADER` heads `BenchReport` rows and `PROFILE_CSV_HEADER` `ProfilePoint` rows.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(header.split(","))
     writer.writerows(astuple(r) for r in reports)
     return buf.getvalue()

@@ -19,12 +19,15 @@ from pathlib import Path
 from .assignment import (
     BRUTEFORCE_GUARD,
     SinkhornConfig,
+    _check_guard,
     load_matrix,
     solve_bruteforce,
     solve_hungarian,
     solve_sinkhorn,
 )
 from .bench import (
+    CSV_HEADER,
+    PROFILE_CSV_HEADER,
     export_confusion,
     iteration_profile,
     reports_to_csv,
@@ -134,23 +137,17 @@ def _parse_list(text: str, convert) -> list:
 def _cmd_bench(args) -> None:
     c_values = _parse_list(args.c_values, int)
     if args.profile_difficulties is None:
-        stem = "reports"
+        stem, header = "reports", CSV_HEADER
         reports = sweep_solvers(c_values, args.trials, seed=args.seed, guard=args.guard)
     else:
+        _check_guard(args.guard)  # sweep_solvers checks it on the sweep path
         if len(c_values) != 1:
             raise InvalidInputError("--profile-difficulties needs exactly one value in --c-values")
-        stem = "profile"
+        stem, header = "profile", PROFILE_CSV_HEADER
         reports = iteration_profile(
             _parse_list(args.profile_difficulties, float), c_values[0], args.trials, args.seed
         )
-    if args.format == "json":
-        body = reports_to_jsonl(reports)
-    elif stem == "reports":
-        body = reports_to_csv(reports)
-    else:
-        body = "difficulty,mean_iterations\n" + "".join(
-            f"{p.difficulty},{p.mean_iterations}\n" for p in reports
-        )
+    body = reports_to_jsonl(reports) if args.format == "json" else reports_to_csv(reports, header)
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

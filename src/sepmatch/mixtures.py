@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .wavio import MAX_WAV_SAMPLES, MAX_WRITE_RATE, AudioSignal, _check_aligned, read_wav
+from .wavio import MAX_WAV_SAMPLES, MAX_WRITE_RATE, AudioSignal, read_wav
+from .wavio import _check_aligned, _sample_rate
 
 #: Generated sources are peak-normalized to this amplitude.
 PEAK_AMPLITUDE = 0.9
@@ -97,9 +98,10 @@ class MixSpec:
     def __post_init__(self) -> None:
         if self.num_sources < 2:
             raise InvalidInputError(f"num_sources must be >= 2, got {self.num_sources}")
-        if not 1 <= self.sample_rate <= MAX_WRITE_RATE:
+        object.__setattr__(self, "sample_rate", _sample_rate(self.sample_rate))
+        if self.sample_rate > MAX_WRITE_RATE:
             raise InvalidInputError(
-                f"sample_rate must be in 1..{MAX_WRITE_RATE} Hz, got {self.sample_rate}"
+                f"sample_rate must be at most {MAX_WRITE_RATE} Hz, got {self.sample_rate}"
             )
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive, got {self.duration}")
@@ -125,9 +127,8 @@ def generate_sources(spec: MixSpec, kinds) -> list[AudioSignal]:
     stay decorrelated (pairwise normalized cross-correlation below 0.5 for
     the synthetic kinds).
 
-    The returned signals are the rows, in order, of one (C, samples) block,
-    which `mix` sums without copying; holding any one of them keeps the
-    whole block alive.
+    The returned signals are the rows, in order, of one (C, samples) block;
+    holding any one of them keeps the whole block alive.
     """
     kinds = list(kinds)
     if len(kinds) != spec.num_sources:
@@ -194,19 +195,21 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     applied to its energy relative to source 0 (so sources can come out
     louder or quieter than the anchor). If the raw sum leaves [-1, 1] the
     whole mix is rescaled and the reported gains absorb the factor; either
-    way sum(gains[i] * sources[i]) reconstructs the returned mixture. An
-    snr_range so wide that a rescaled gain leaves float64 (inf, or 0 so a
-    source drops out) or the mixture overflows raises InvalidInputError, as
-    does a source whose energy is zero or overflows float64.
+    way gains[i] * sources[i], added in index order, rebuilds the returned
+    mixture exactly, on any CPU. An snr_range so wide that a rescaled gain
+    leaves float64 (inf, or 0 so a source drops out) or the mixture
+    overflows raises InvalidInputError, as does a source whose energy is
+    zero or overflows float64.
 
     Returns (mixture, gains).
     """
     sources = list(sources)
     _check_aligned(sources)
     low, high = _snr_range(snr_range)
-    stacked = _stacked([s.samples for s in sources])
+    rows = [s.samples for s in sources]
     with np.errstate(over="ignore"):  # checked below, by source
-        energies = np.einsum("ij,ij->i", stacked, stacked)
+        # einsum sums a strided row in another order, so it sums a contiguous copy.
+        energies = [np.einsum("i,i->", row, row) for row in map(np.ascontiguousarray, rows)]
     for index, energy in enumerate(energies):
         if energy == 0.0:
             raise InvalidInputError(f"source {index} has zero energy")
@@ -225,11 +228,11 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
         # Energy of gains[i] * source_i relative to source 0, in dB.
         gains[i] = math.sqrt(energies[0] / energies[i]) * level
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, by name
-        mixture = gains @ stacked
+        mixture = _weighted_sum(gains, rows)
         peak = float(np.abs(mixture).max())  # inf or nan if the mixture is not finite
         if peak > 1.0:
             gains = gains / peak
-            mixture = gains @ stacked  # recomputed so the reported gains reconstruct it
+            mixture = _weighted_sum(gains, rows)  # recomputed so the reported gains rebuild it
     if not (math.isfinite(peak) and np.isfinite(gains).all() and gains.all()):
         raise InvalidInputError(
             f"snr_range ({low:g}, {high:g}) dB is too wide for float64: gains "
@@ -238,28 +241,18 @@ def mix(sources, snr_range=(0.0, 5.0), seed: int = 0) -> tuple[AudioSignal, np.n
     return AudioSignal(mixture, sources[0].sample_rate), gains
 
 
-def _stacked(rows: list[np.ndarray]) -> np.ndarray:
-    """`rows` as one C-contiguous (len(rows), samples) array, copied only if need be.
+def _weighted_sum(gains: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
+    """`gains[0] * rows[0] + gains[1] * rows[1] + ...`, added elementwise in index order.
 
-    Rows that are exactly the rows of one such block, in order (as
-    `generate_sources` returns them), give that block itself; anything else
-    is stacked into a new one. Either way the same values sit in the same
-    layout, so a product over the result does not depend on which it was.
+    The order is fixed and no BLAS kernel takes part, so the bytes do not
+    depend on the CPU, and a caller summing `g * row` the same way gets them
+    exactly.
     """
-    block = rows[0].base
-    if (
-        isinstance(block, np.ndarray)
-        and block.dtype == np.float64
-        and block.flags.c_contiguous
-        and block.shape == (len(rows), rows[0].size)
-    ):
-        start, row_bytes = block.ctypes.data, block.strides[0]
-        if all(
-            row.strides == (8,) and row.ctypes.data == start + index * row_bytes
-            for index, row in enumerate(rows)
-        ):
-            return block
-    return np.stack(rows)
+    out = np.multiply(rows[0], gains[0])
+    term = np.empty_like(out)
+    for gain, row in zip(gains[1:], rows[1:]):
+        out += np.multiply(row, gain, out=term)
+    return out
 
 
 def truncate_to_min(signals) -> list[AudioSignal]:

@@ -34,6 +34,13 @@ def _samples(values) -> np.ndarray:
     return samples
 
 
+def _sample_rate(rate) -> int:
+    """`rate` as an int, checked to be an integer value >= 1 (8000.0 gives 8000)."""
+    if not (rate >= 1 and rate % 1 == 0):  # false for NaN; inf % 1 is NaN
+        raise InvalidInputError(f"sample_rate must be an integer >= 1, got {rate!r}")
+    return int(rate)
+
+
 @dataclass(frozen=True, eq=False)
 class AudioSignal:
     """Mono sample buffer plus its sample rate in Hz, an integer value >= 1."""
@@ -42,12 +49,8 @@ class AudioSignal:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        samples = _samples(self.samples)
-        rate = self.sample_rate
-        if not (rate >= 1 and rate % 1 == 0):  # false for NaN; inf % 1 is NaN
-            raise InvalidInputError(f"sample_rate must be an integer >= 1, got {rate!r}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "samples", _samples(self.samples))
+        object.__setattr__(self, "sample_rate", _sample_rate(self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.size

@@ -568,6 +568,25 @@ class TestBenchCli:
         assert code == 2 and out == ""
         assert f"guard must be >= 1, got {guard}" in err
 
+    def test_profile_guard_below_one_exit_2(self, capsys):
+        # Used to exit 0: profile mode never looked at --guard.
+        argv = ["bench", "--c-values", 3, "--trials", 2, "--profile-difficulties", "0,1",
+                "--guard", -4]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "guard must be >= 1, got -4" in err
+
+    @pytest.mark.parametrize("profile, header", [
+        ([], "solver,c,trials,"),
+        (["--profile-difficulties", "0,1"], "difficulty,mean_iterations\r\n"),
+    ], ids=["sweep", "profile"])
+    def test_csv_rows_end_in_crlf(self, capsys, profile, header):
+        # Profile rows used to come from their own writer, with LF endings.
+        argv = ["bench", "--c-values", 5, "--trials", 4, "--format", "csv", *profile]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.startswith(header)
+        assert out.count("\n") == out.count("\r\n") == len(out.splitlines())
+
     def test_factorial_past_int_str_limit_exit_2(self, capsys, monkeypatch):
         # Used to solve for seconds, then exit 1 printing the 1559! count.
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
@@ -803,12 +822,15 @@ def bench_digests(tmp_path, capsys):
 
 
 class TestGoldenBytes:
-    # Recorded by running the code before WAV chunks were read as views and
-    # before silent rows were ruled out by a peak bound. Scores and mixtures
-    # pass through BLAS, so another BLAS kernel or CPU may round their last
-    # bits differently; there, record them again from the commit that added them.
+    # The evaluate digests were recorded by running the code before WAV chunks
+    # were read as views and before silent rows were ruled out by a peak bound.
+    # Only the scores still pass through BLAS, so another BLAS kernel or CPU may
+    # round their last bits differently; there, record them again from the
+    # commit that added them. The mix digests were recorded from the commit that
+    # made `mix` a fixed-order row sum, and hold under every OpenBLAS core.
     # The bench digests were recorded by running the code before `sepmatch.bench`
-    # had one report path; they mask the timings, which vary run to run.
+    # had one report path, and `profile_csv` again once profile CSV took that
+    # path's CRLF rows; they mask the timings, which vary run to run.
 
     def test_evaluate_stdout(self, capsys, tmp_path):
         assert evaluate_digests(tmp_path, capsys) == EVALUATE_DIGESTS
@@ -827,13 +849,13 @@ EVALUATE_DIGESTS = {
     "silent_target": "1c274cc66bac1407814242abf98abbe7b425773a938b5197ae906846453b9041",
 }
 MIX_DIGESTS = {
-    "c2": "204248ee7834d0aefef29ededa7c653fcc7c1e50797be1f844e7888ab0010bfc",
+    "c2": "4d1441b4791545644474593af4a854c0ee37fc25fe7e5680c2dc9f4433398820",
     "c5": "6d84bda3cf184aa9578595fb4406ba115beb2a56b3998025da2dd84d9f4d3b2d",
-    "c20": "4254be008f696fcabbd7d56a942db005e78207a09f2ccec9c00707651524159e",
+    "c20": "865d75e269fec64d884d39baba483de52bac6165bba53f96feb79d0c9254ae23",
 }
 BENCH_DIGESTS = {
     "profile_json": "b7b0cdb82551eda3f0c75e0b4057e60886852d2089207a8c72334ac44e5816a8",
-    "profile_csv": "8430ce751440c34a013b8a47e4b3c837777947d045ec0f4c6436648101e70ded",
+    "profile_csv": "40a5419849dd5c667c8cdca535b151fde203f3ea15fbd4b02e0fed5b59b24eca",
     "sweep_json": "4ff258d785bcefb51e8e084570f063b2be1c5dd92e746c785a01460f6757da8b",
     "sweep_csv": "72b716286d8e0f32c82809ca5962371c04d64cd06f477c1e2b1b3bbf5eed245f",
 }

@@ -104,6 +104,17 @@ class TestGenerateSources:
         with pytest.raises(InvalidInputError):
             MixSpec(num_sources=2, sample_rate=0)
 
+    @pytest.mark.parametrize("rate", [8000.7, float("inf"), float("nan")])
+    def test_rate_that_is_not_an_integer_refused(self, rate):
+        # 8000.7 used to pass and render 80 samples at 8000.7 Hz, which only
+        # the AudioSignal check in generate_sources refused, after the render.
+        with pytest.raises(InvalidInputError, match=f"sample_rate .* got {rate!r}$"):
+            MixSpec(num_sources=2, sample_rate=rate, duration=0.01)
+
+    def test_integral_float_rate_becomes_int(self):
+        rate = MixSpec(num_sources=2, sample_rate=8000.0, duration=0.01).sample_rate
+        assert rate == 8000 and type(rate) is int
+
 
 class TestMix:
     def test_single_source_degenerate(self):
@@ -139,27 +150,31 @@ class TestMix:
         rebuilt = np.zeros(len(mixture))
         for g, s in zip(gains, sources):
             rebuilt += g * s.samples
-        assert np.abs(mixture.samples - rebuilt).max() < 1e-9
+        # mix adds the same terms in the same order, so the rebuild is exact.
+        assert mixture.samples.tobytes() == rebuilt.tobytes()
 
-    def test_generated_block_mixes_like_copies(self, monkeypatch):
-        # generate_sources' signals are the rows of one block, which mix sums
-        # without stacking; any other sources are stacked into a new array.
+    def test_generated_block_mixes_like_copies(self):
+        # Every input takes one path, a row-by-row sum in index order, whether
+        # or not its rows are generate_sources' block, in order, contiguous.
         spec = MixSpec(num_sources=6, duration=0.5, seed=5)
         sources = generate_sources(spec, synthetic_kinds(6))
         block = sources[0].samples.base
         assert block.shape == (6, 4000)
         assert all(s.samples.base is block for s in sources)
         copies = [AudioSignal(s.samples.copy(), s.sample_rate) for s in sources]
-        stacked = []
-        real_stack = np.stack
-        monkeypatch.setattr(np, "stack", lambda rows: stacked.append(len(rows)) or real_stack(rows))
-        cases = [(sources, copies, []), (sources[::-1], copies[::-1], [6]), (sources[:4], copies[:4], [4])]
-        for rows, rows_copied, block_stacks in cases:
-            stacked.clear()
+        padded = np.zeros((6, 8000))
+        padded[:, 1::2] = block
+        strided = [AudioSignal(row[1::2], 8000) for row in padded]
+        assert all(s.samples.strides == (16,) for s in strided)
+        cases = [(sources, copies), (copies, copies), (strided, copies),
+                 (sources[::-1], copies[::-1]), (sources[:4], copies[:4])]
+        for rows, rows_copied in cases:
             mixture, gains = mix(rows, (0.0, 5.0), seed=5)
-            assert stacked == block_stacks
+            want = gains[0] * rows[0].samples
+            for g, s in zip(gains[1:], rows[1:]):
+                want = want + g * s.samples
+            assert mixture.samples.tobytes() == want.tobytes()
             want_mixture, want_gains = mix(rows_copied, (0.0, 5.0), seed=5)
-            assert stacked == block_stacks + [len(rows)]
             assert mixture.samples.tobytes() == want_mixture.samples.tobytes()
             assert gains.tobytes() == want_gains.tobytes()
 
@@ -170,7 +185,7 @@ class TestMix:
         assert np.abs(mixture.samples).max() <= 1.0 + 1e-12
         assert gains[0] < 1.0  # the rescale factor lives in the gains
         rebuilt = gains[0] * s.samples + gains[1] * twin.samples
-        assert np.abs(mixture.samples - rebuilt).max() < 1e-9
+        assert mixture.samples.tobytes() == rebuilt.tobytes()
 
     def test_deterministic(self):
         spec = MixSpec(num_sources=3, duration=0.25, seed=31)
