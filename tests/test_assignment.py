@@ -291,6 +291,11 @@ class TestSinkhorn:
         result = solve_sinkhorn(golden_matrix, config=config)
         assert result.total_cost == 5.0  # enumerated optimum
 
+    def test_rounds_rows_in_index_order(self):
+        # [0, 1, 2] and [2, 1, 0] both cost 1; row 0 picks first and keeps column 0.
+        result = solve_sinkhorn([[0, 1, 0], [3, 1, 1], [0, 3, 0]])
+        assert result.permutation.tolist() == [0, 1, 2]
+
     def test_never_beats_hungarian(self):
         rng = np.random.default_rng(13)
         for _ in range(100):

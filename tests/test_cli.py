@@ -352,13 +352,18 @@ class TestEvaluate:
         write_wav(long_a, sine(440, n=1000))
         write_wav(long_b, sine(700, n=990))
         write_wav(short_m, sine(600, n=980))
-        code, out, _ = run(
-            capsys,
-            ["evaluate", "--targets", long_a, long_b, "--estimates", long_a, long_b,
-             "--mixture", short_m],
-        )
-        assert code == 0
-        assert json.loads(out)["mean_si_snr"] == 60.0
+        float_b = tmp_path / "lb_float.wav"  # long_b's 16-bit samples as float32, 5 more
+        float_b.write_bytes(encode_wav(np.append(read_wav(long_b).samples, [0.1] * 5),
+                                       "plain_float32"))
+        for estimate_b in (long_b, float_b):
+            code, out, _ = run(
+                capsys,
+                ["evaluate", "--targets", long_a, long_b, "--estimates", long_a, estimate_b,
+                 "--mixture", short_m],
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["per_source_si_snr"] == [60.0, 60.0] and payload["mean_si_snr"] == 60.0
 
     def test_mixed_lengths_score_as_pre_truncated(self, capsys, tmp_path):
         # Targets, swapped estimates of other lengths, then the shortest mixture.
@@ -449,16 +454,23 @@ def test_evaluate_matches_the_library_path(capsys, tmp_path, c, n, seed, layouts
     assert run(capsys, argv) == library_evaluate(paths, c)
 
 
-def nan_wav(path, n, at):
-    """A float32 WAV of n samples of a sine with a NaN at sample `at`."""
-    samples = 0.5 * np.sin(np.arange(n) * 0.3)
-    samples[at] = np.nan
+#: The float32 bits of a quiet and of a signalling NaN.
+QUIET_NAN, SIGNALLING_NAN = 0x7FC00000, 0x7F85845E
+
+
+def nan_wav(path, n, at, bits=QUIET_NAN):
+    """A float32 WAV of n samples of a sine whose sample `at` is the NaN `bits`."""
+    samples = (0.5 * np.sin(np.arange(n) * 0.3)).astype("<f4")
+    samples.view("<u4")[at] = bits
     path.write_bytes(encode_wav(samples, "plain_float32"))
     return path
 
 
+# pyproject.toml turns any RuntimeWarning, such as numpy's for a signalling
+# NaN, into an error, so each refusal here is also warning-free.
 @pytest.mark.parametrize("case", ["nan_then_malformed", "malformed_then_nan", "nan_in_tail",
-                                  "rate_and_count", "count_and_silent_target"])
+                                  "snan", "snan_in_tail", "rate_and_count",
+                                  "count_and_silent_target"])
 def test_first_fault_wins(capsys, tmp_path, case):
     good = [tmp_path / f"good{k}.wav" for k in range(4)]
     for k, path in enumerate(good):
@@ -474,9 +486,13 @@ def test_first_fault_wins(capsys, tmp_path, case):
         nan_wav(nan, 800, 17)
         targets, estimates = [good[0], junk], [good[1], nan]
         message = f"{junk}: malformed header (not a RIFF/WAVE file)"
-    elif case == "nan_in_tail":
+    elif case == "snan":
+        nan_wav(nan, 800, 17, SIGNALLING_NAN)
+        targets, estimates = [good[0], nan], [good[1], good[0]]
+        message = f"{nan}: signal contains non-finite samples"
+    elif case in ("nan_in_tail", "snan_in_tail"):
         # Only samples past the shortest input are NaN; the file is still refused.
-        nan_wav(nan, 805, 802)
+        nan_wav(nan, 805, 802, SIGNALLING_NAN if case == "snan_in_tail" else QUIET_NAN)
         targets, estimates = [good[0], good[1]], [nan, good[0]]
         message = f"{nan}: signal contains non-finite samples"
     elif case == "rate_and_count":
@@ -670,10 +686,13 @@ def test_parser_reuse_leaks_nothing(capsys, monkeypatch, tmp_path, golden_file):
     wavs = [tmp_path / f"{k}.wav" for k in range(3)]
     for path, freq in zip(wavs, (440, 1300, 870)):
         write_wav(path, sine(freq, n=800))
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"2\n1 2\n3 \xff\n")
     commands = [
         ["solve", golden_file, "--format", "text"],
         ["solve", golden_file],
         ["solve", golden_file, "--solver", "simplex"],
+        ["solve", latin1],  # exit 2 reaches the process status only through sys.exit(main())
         ["evaluate", "--targets", *wavs[:2], "--estimates", *wavs[1::-1], "--mixture", wavs[2]],
         ["mix", "--num-sources", 3, "--duration", 0.25, "--out-dir", tmp_path / "mix"],
     ]
@@ -738,15 +757,15 @@ def test_repeated_evaluate_reuses_its_pages(tmp_path):
     assert max(json.loads(done.stdout)) < 64  # one C = 20 op holds ~2 600 pages
 
 
-def evaluate_corpus(out_dir, c, seed, silent_target=False):
+def evaluate_corpus(out_dir, c, seed, silent_target=False, n=2008, noise=(0.01, 0.3)):
     """`evaluate` argv over a seeded C-source corpus written in mixed layouts.
 
-    Lengths differ by up to 7 samples. The last target is near-silent (a DC
+    Each file holds n samples less 0 to 7. The last target is near-silent (a DC
     offset plus 1-LSB dither), or constant with `silent_target`; the first
-    estimate is constant and scores the clamp floor.
+    estimate is constant and scores the clamp floor. Each other estimate adds
+    white noise at a level drawn uniformly from the `noise` range.
     """
     rng = np.random.default_rng(seed)
-    n = 2000 + 8
     t = np.arange(n) / 8000
     targets = [
         0.3 * np.sin(2 * np.pi * rng.uniform(100, 3000) * t + rng.uniform(0, 6.3))
@@ -754,7 +773,7 @@ def evaluate_corpus(out_dir, c, seed, silent_target=False):
         for _ in range(c)
     ]
     targets[-1] = np.full(n, 0.5) if silent_target else 0.5 + rng.integers(-1, 2, n) / 32767
-    estimates = [targets[k] + rng.uniform(0.01, 0.3) * rng.standard_normal(n)
+    estimates = [targets[k] + rng.uniform(*noise) * rng.standard_normal(n)
                  for k in rng.permutation(c)]
     estimates[0] = np.full(n, 0.25)
     out_dir.mkdir()
@@ -770,11 +789,13 @@ def evaluate_corpus(out_dir, c, seed, silent_target=False):
 
 def evaluate_digests(tmp_path, capsys):
     """sha256 of each corpus's exit code, stdout and stderr."""
-    cases = {"c2": (2, 81, False), "c5": (5, 82, False), "c20": (20, 83, False),
-             "silent_target": (2, 84, True)}
+    cases = {"c2": (2, 81), "c5": (5, 82), "c20": (20, 83), "silent_target": (2, 84, True),
+             # Over three slabs; its noisy matched pairs score ~26 and ~35.5 dB,
+             # one on each side of the ~30 dB line where residuals are rechecked.
+             "long": (3, 87, False, 24_600, (0.0035, 0.014))}
     digests = {}
-    for name, (c, seed, silent) in cases.items():
-        code, out, err = run(capsys, evaluate_corpus(tmp_path / name, c, seed, silent))
+    for name, args in cases.items():
+        code, out, err = run(capsys, evaluate_corpus(tmp_path / name, *args))
         digests[name] = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
     return digests
 
@@ -823,8 +844,9 @@ def bench_digests(tmp_path, capsys):
 
 class TestGoldenBytes:
     # The evaluate digests were recorded by running the code before WAV chunks
-    # were read as views and before silent rows were ruled out by a peak bound.
-    # Only the scores still pass through BLAS, so another BLAS kernel or CPU may
+    # were read as views and before silent rows were ruled out by a peak bound;
+    # `long` was recorded from the code just before that case was added. Only
+    # the scores still pass through BLAS, so another BLAS kernel or CPU may
     # round their last bits differently; there, record them again from the
     # commit that added them. The mix digests were recorded from the commit that
     # made `mix` a fixed-order row sum, and hold under every OpenBLAS core.
@@ -847,6 +869,7 @@ EVALUATE_DIGESTS = {
     "c5": "c5d2ed3fbef52f069d80a1dd94334066cd27090327e8587dbc7edbd0b41a39cb",
     "c20": "f332beb27d16169f8d2847179f39d1b4cfc132c13959863a9c19ad5cbc877cfe",
     "silent_target": "1c274cc66bac1407814242abf98abbe7b425773a938b5197ae906846453b9041",
+    "long": "d307eb41504b5394771c8fea03fcd83c8ac5033352c6c216642e07e92d5267af",
 }
 MIX_DIGESTS = {
     "c2": "4d1441b4791545644474593af4a854c0ee37fc25fe7e5680c2dc9f4433398820",
