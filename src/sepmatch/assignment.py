@@ -6,7 +6,8 @@ ground-truth oracle for small C (`solve_bruteforce`), and an O(k*C^2)
 entropic approximation (`solve_sinkhorn`). All three take a square cost
 matrix and return the chosen row-to-column permutation together with its
 summed cost and solver telemetry. `solve_batch` runs the augmenting-path
-solver on a whole stack of equal-size matrices in lockstep.
+solver on a whole stack of equal-size matrices in lockstep, and on small
+stacks one matrix at a time.
 
 Matrix files (`load_matrix`) must be UTF-8, as plain text or JSON; bytes
 that do not decode raise MatrixParseError with their line.
@@ -38,6 +39,11 @@ BRUTEFORCE_GUARD = 11
 
 #: Largest C that permutation_count reports.
 PERMUTATION_COUNT_MAX = 25
+
+# solve_batch sends a size group of fewer matrices than this to the scalar
+# loop: below it, lockstep took 1.25-2.2x the loop's time at C = 5 to 100, and
+# at 8 it took 0.83-1.02x (uniform stacks, 2 vCPUs).
+_LOCKSTEP_MIN_BATCH = 8
 
 # Permutation tables are cached up to this size (8! rows, ~5 MB). Brute force
 # at larger C scores the tails of each lexicographic head against this table.
@@ -151,26 +157,54 @@ def _scaled(entries: np.ndarray) -> np.ndarray:
     is unchanged, while the dual updates can no longer overflow on finite
     entries near the float64 limit.
     """
-    _, exponent = np.frexp(np.abs(entries).max(axis=(-2, -1), keepdims=True))
+    # max|c| from the largest and smallest entry, without an |entries| copy.
+    high = entries.max(axis=(-2, -1), keepdims=True)
+    low = entries.min(axis=(-2, -1), keepdims=True)
+    _, exponent = np.frexp(np.maximum(high, -low))
     return np.ldexp(entries, -exponent)
 
 
-def _reduced_duals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Row then column reduction of each trailing C x C matrix; finding the
-    # optimum among the resulting zeros is the "obvious permutation" phase
-    # and costs no adjustments.
-    u = entries.min(axis=-1)
-    return u, (entries - u[..., None]).min(axis=-2)
+def _greedy_start(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced duals and the tight-edge matching they give, per trailing C x C matrix.
+
+    Row then column reduction seeds the duals u and v. Each row's first
+    minimum column j then has reduced cost exactly 0, since v_j = 0 there,
+    so every such column is matched to the lowest-indexed row that claims
+    it. Every matched edge is tight and the duals are feasible, so searching
+    only the rows left free still ends at the exact optimum. Returns u, v,
+    the matching (column -> row, -1 if unmatched) and a mask of the free rows.
+    """
+    n = entries.shape[-1]
+    first = entries.argmin(axis=-1)
+    u = np.take_along_axis(entries, first[..., None], axis=-1)[..., 0]
+    if entries.ndim == 2:  # one (C, C) difference: a row loop is 8-16x slower on one matrix
+        v = (entries - u[:, None]).min(axis=0)
+    else:  # a row of every matrix at a time into one (B, C) buffer, no (B, C, C) temporary
+        v = entries[..., 0, :] - u[..., :1]
+        for i in range(1, n):
+            np.minimum(v, entries[..., i, :] - u[..., i : i + 1], out=v)
+    # Row i of matrix b claims flat column b*C + first. minimum.at applies
+    # every claim, so each column ends with its lowest claimant (n if none).
+    rows = np.arange(first.size)
+    match = np.full(first.size, n, dtype=np.intp)
+    np.minimum.at(match, first.ravel() + rows - rows % n, rows % n)
+    match = match.reshape(first.shape)
+    free = np.take_along_axis(match, first, axis=-1) != np.arange(n)  # lost its claim
+    match[match == n] = -1
+    return u, v, match, free
 
 
 def solve_hungarian(matrix) -> AssignmentResult:
     """Find the cost-minimizing row-to-column permutation in O(C^3) time.
 
-    Potential/augmenting-path formulation: row and column reductions seed
-    the dual potentials, then each row is matched through a shortest
-    augmenting path. `iterations` counts the rounds in which the duals
-    actually move (the cost-adjustment rounds), so a matrix whose
-    row-reduced minima already sit in distinct columns reports 0.
+    Potential/augmenting-path formulation (Jonker & Volgenant's start): row
+    and column reductions seed the dual potentials, and each row's first
+    minimum column, a zero-cost edge after the reductions, is matched to
+    the lowest-indexed row that claims it. Only the rows left free are then
+    matched, in index order, each through a shortest augmenting path.
+    `iterations` counts the rounds in which the duals actually move (the
+    cost-adjustment rounds), so a matrix whose row minima already sit in
+    distinct columns runs no search and reports 0.
 
     When several permutations tie for the optimum the returned one is
     deterministic, but only `total_cost` is contract-stable. A matched
@@ -185,8 +219,7 @@ def solve_hungarian(matrix) -> AssignmentResult:
 
 def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
     n = entries.shape[0]
-    u, v = _reduced_duals(entries)
-    match_col = np.full(n, -1, dtype=np.intp)  # column -> matched row
+    u, v, match_col, free_rows = _greedy_start(entries)  # match_col: column -> matched row
     adjustments = 0
     # Work arrays, refilled per row rather than reallocated per step.
     reduced = np.empty(n)
@@ -196,7 +229,7 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
     free = np.empty(n, dtype=bool)  # column not yet scanned
     tree_rows = np.empty(n, dtype=np.intp)  # row i, then the rows of scanned columns
     tree_cols = np.empty(n, dtype=np.intp)  # scanned columns, in scan order
-    for i in range(n):
+    for i in np.flatnonzero(free_rows).tolist():
         minv.fill(np.inf)
         way.fill(-1)
         free.fill(True)
@@ -242,41 +275,80 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
 def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_augmenting_path_assignment` on a (B, C, C) stack, all B matrices at once.
 
-    Each matrix moves through its rows on its own schedule. Every round
-    advances each of the k matrices with rows left by one Dijkstra step of
-    its current row's search, using (k, C) array operations. A matrix whose
-    path reaches a free column flips that path, resets its search state and
-    starts its next row in the following round; after its last row it
-    leaves the working set. So a stack takes as many rounds as its slowest
-    matrix takes steps in all, at most C rows of C steps each. Per matrix,
-    each comparison and dual update is the one the single-matrix loop
-    makes, so the permutations and adjustment counts are the same.
+    Both kernels start from the same greedy tight-edge matching
+    (`_greedy_start`), so only the rows it leaves free run a search, and
+    each matrix keeps its own list of them (`_lockstep_search`). A matrix
+    with no free rows is finished by the start and never enters the
+    lockstep rounds.
+    """
+    batch = entries.shape[0]
+    u, v, match, free = _greedy_start(entries)
+    adjustments = np.zeros(batch, dtype=np.int64)
+    searching = np.flatnonzero(free.any(axis=1))
+    if searching.size:
+        match[searching], adjustments[searching] = _lockstep_search(
+            entries, searching, u[searching], v[searching], match[searching], free[searching]
+        )
+    return np.argsort(match, axis=-1), adjustments
+
+
+def _lockstep_search(
+    entries: np.ndarray,
+    act: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    match: np.ndarray,
+    free: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Search the free rows of matrices `entries[act]` in lockstep, from a greedy start.
+
+    `u`, `v`, `match` (column -> row) and `free` (rows left to search) are
+    (k, C) arrays of the k matrices in `act`. Each matrix walks its own free
+    rows in index order. Every round advances each of the matrices with
+    rows left by one Dijkstra step of its current row's search, using
+    (k, C) array operations. A matrix whose path reaches a free column flips
+    that path, resets its search state and starts its next free row in the
+    following round; after its last one it leaves the working set. So a
+    stack takes as many rounds as its slowest matrix takes steps in all, at
+    most C rows of C steps each. Per matrix, each comparison and dual update
+    is the one the single-matrix loop makes, so the permutations and
+    adjustment counts are the same. Returns the final (k, C) matchings and
+    the k adjustment counts.
     """
     batch, n, _ = entries.shape
-    match_col = np.empty((batch, n), dtype=np.intp)  # column -> matched row, per finished matrix
-    adjustments = np.empty(batch, dtype=np.int64)
+    k = act.size
+    rows_of = entries.reshape(batch * n, n)  # row i of matrix b is rows_of[b * C + i]
+    final_match = np.empty((k, n), dtype=np.intp)
+    adjustments = np.empty(k, dtype=np.int64)
     # Per-matrix (k, C) state is indexed through its flattened view: entry
     # (r, j) sits at offset[r] + j.
-    offsets = np.arange(batch) * n
-    # State of the working set, compressed to its k matrices.
-    act, offset = np.arange(batch), offsets
-    u, v = _reduced_duals(entries)
-    match = np.full((batch, n), -1, dtype=np.intp)
-    adj = np.zeros(batch, dtype=np.int64)
-    row = np.zeros(batch, dtype=np.intp)  # the row each search is matching
-    minv = np.full((batch, n), np.inf)
+    offsets = np.arange(k) * n
+    # State of the working set, compressed as matrices leave it.
+    slot, base, offset = np.arange(k), act * n, offsets
+    # The free rows of each matrix in index order, matrix after matrix;
+    # matrix r walks queue[pos[r]:stop[r]]. The trailing 0 is read past the
+    # last matrix's last row and never searched.
+    counts = free.sum(axis=1)
+    queue = np.append(np.nonzero(free)[1], 0)
+    stop = np.cumsum(counts)
+    pos = stop - counts
+    adj = np.zeros(k, dtype=np.int64)
+    row = queue[pos]  # the row each search is matching
+    minv = np.full((k, n), np.inf)
     # The first step of a search finds every column better than +inf, so
     # `pred` is fully rewritten before a flip reads it and needs no reset.
-    pred = np.empty((batch, n), dtype=np.intp)
-    used = np.zeros((batch, n), dtype=bool)
-    in_tree = np.zeros((batch, n), dtype=bool)  # rows whose duals move with delta
-    j1 = np.full(batch, -1, dtype=np.intp)
+    pred = np.empty((k, n), dtype=np.intp)
+    used = np.zeros((k, n), dtype=bool)
+    in_tree = np.zeros((k, n), dtype=bool)  # rows whose duals move with delta
+    j1 = np.full(k, -1, dtype=np.intp)
     i0 = row.copy()
     for _ in range(n * n):
         j0 = j1
         at = offset + i0
         in_tree.ravel()[at] = True
-        reduced = entries[act, i0] - u.ravel()[at][:, None] - v
+        reduced = rows_of.take(base + i0, axis=0)  # one gather: 2x faster than entries[act, i0]
+        reduced -= u.ravel()[at][:, None]
+        reduced -= v
         better = ~used & (reduced < minv)
         minv = np.where(better, reduced, minv)
         pred = np.where(better, j0[:, None], pred)
@@ -296,39 +368,42 @@ def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not done.size:
             continue
         # Flip matched edges along each finished path back to its root.
-        base, root = offset[done], row[done]
+        flip, root = offset[done], row[done]
         at = at[done]
         flat_pred, flat_match = pred.ravel(), match.ravel()
         while at.size:
             prev = flat_pred[at]
-            came_from = base + prev
+            came_from = flip + prev
             flat_match[at] = np.where(prev < 0, root, flat_match[came_from])
             walking = prev >= 0
-            at, base, root = came_from[walking], base[walking], root[walking]
-        # Start each finished search's next row.
-        row[done] += 1
+            at, flip, root = came_from[walking], flip[walking], root[walking]
+        # Start each finished search's next free row.
+        pos[done] += 1
+        row[done] = queue[pos[done]]
         i0[done] = row[done]
         j1[done] = -1
         minv[done] = np.inf
         used[done] = False
         in_tree[done] = False
-        if (row[done] < n).all():
+        if (pos[done] < stop[done]).all():
             continue
-        # Matrices past their last row leave the working set.
-        last = row == n
-        match_col[act[last]] = match[last]
-        adjustments[act[last]] = adj[last]
+        # Matrices past their last free row leave the working set.
+        last = pos == stop
+        final_match[slot[last]] = match[last]
+        adjustments[slot[last]] = adj[last]
         keep = np.flatnonzero(~last)
         if not keep.size:
             break
-        act, row, i0, j1, adj = act[keep], row[keep], i0[keep], j1[keep], adj[keep]
+        slot, base, pos, stop, row, i0, j1, adj = (
+            index[keep] for index in (slot, base, pos, stop, row, i0, j1, adj)
+        )
         u, v, match, minv, pred, used, in_tree = (
             state.take(keep, axis=0) for state in (u, v, match, minv, pred, used, in_tree)
         )
-        offset = offsets[: act.size]
+        offset = offsets[: slot.size]
     else:
         raise RuntimeError(f"lockstep solve of C = {n} did not finish within {n * n} rounds")
-    return np.argsort(match_col, axis=-1), adjustments
+    return final_match, adjustments
 
 
 def _check_guard(guard: int) -> None:
@@ -454,16 +529,19 @@ def solve_batch(
     """Solve many independent matrices, preserving input order in the output.
 
     With `solve_hungarian` (the default), the matrices are validated one by
-    one in input order, grouped by size, and each group is stacked once and
-    solved by the lockstep kernel, in which every matrix moves on to its
-    next row as soon as its own search ends; a group of one matrix goes to
-    the faster single-matrix loop instead. Every result equals the one
-    `solve_hungarian` gives for that matrix, except that its `elapsed_ns` is
-    the group's solve time divided by the group's size (an amortised share,
-    not the matrix's own time). A group's matched costs are taken with one
-    gather and one row sum, which adds each row in the order a single solve
-    does; only a sum that overflows takes the single solve's exact-sum
-    rescue. Any other solver is called once per matrix.
+    one in input order and grouped by size. A group of at least
+    `_LOCKSTEP_MIN_BATCH` matrices is stacked and scaled once and solved by
+    the lockstep kernel: all matrices start from the greedy tight-edge
+    matching, and each one searches only its own free rows, moving on to
+    the next as soon as its own search ends. A smaller group goes through
+    the single-matrix loop one matrix at a time, which is faster there.
+    Every result equals the one `solve_hungarian` gives for that matrix,
+    except that its `elapsed_ns` is the group's solve time divided by the
+    group's size (an amortised share, not the matrix's own time). A
+    lockstep group's matched costs are taken with one gather and one row
+    sum, which adds each row in the order a single solve does; only a sum
+    that overflows takes the single solve's exact-sum rescue. Any other
+    solver is called once per matrix.
     """
     # The module global is looked up at call time, so a caller that replaces
     # it with a wrapper (as a tracer does) and passes that still batches.
@@ -476,12 +554,17 @@ def solve_batch(
     results: list[AssignmentResult | None] = [None] * len(entries)
     for members in groups.values():
         start = time.perf_counter_ns()
+        if len(members) < _LOCKSTEP_MIN_BATCH:
+            # One matrix at a time, as solve_hungarian does: stacking and the
+            # batched cost sum made a group of 2 take 1.07-1.10x as long.
+            solved = [_augmenting_path_assignment(_scaled(entries[k])) for k in members]
+            share = (time.perf_counter_ns() - start) // len(members)
+            for k, (mapping, rounds) in zip(members, solved):
+                cost = _matched_cost(entries[k], mapping)
+                results[k] = AssignmentResult(mapping, cost, rounds, share)
+            continue
         stack = np.stack([entries[k] for k in members])
-        if len(members) == 1:  # lockstep at B = 1 is 3.5-4.2x slower than the loop
-            mapping, rounds = _augmenting_path_assignment(_scaled(stack[0]))
-            mappings, adjustments = mapping[None], np.array([rounds])
-        else:
-            mappings, adjustments = _lockstep_assignment(_scaled(stack))
+        mappings, adjustments = _lockstep_assignment(_scaled(stack))
         share = (time.perf_counter_ns() - start) // len(members)
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf gives nan
             costs = np.take_along_axis(stack, mappings[..., None], axis=-1)[..., 0].sum(axis=-1)

@@ -191,6 +191,7 @@ def parse_wav(path) -> tuple[np.ndarray, int]:
         frames = frames[: (frames.size // channels) * channels].reshape(-1, channels)[:, 0]
     if frames.size == 0:
         raise WavFormatError(f"{path}: zero-length file (header only, no samples)")
+    # Kept though AVX-512 with numpy 2.4.6 raises no flag here: another CPU may raise one.
     with np.errstate(invalid="ignore"):  # comparing a signalling NaN may flag it
         if frames.dtype.kind == "f" and np.isnan(frames).any():
             raise InvalidInputError(f"{path}: signal contains non-finite samples")

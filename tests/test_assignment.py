@@ -34,6 +34,10 @@ from sepmatch import (
 )
 
 
+# The smallest size group that solve_batch sends to the lockstep kernel.
+LOCKSTEP = assignment._LOCKSTEP_MIN_BATCH
+
+
 def enumerate_optimum(matrix):
     """Independent oracle: scan every permutation with plain Python."""
     matrix = np.asarray(matrix, dtype=float)
@@ -109,6 +113,12 @@ class TestHungarian:
             assert result.iterations == 0
             assert np.array_equal(result.permutation, planted)
 
+    def test_all_zero_is_identity(self):
+        # Every row claims column 0 and the lowest row, 0, gets it; giving it
+        # to the highest row instead ends at [1, 2, 0].
+        result = solve_hungarian(np.zeros((3, 3)))
+        assert result.permutation.tolist() == [0, 1, 2]
+
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
             solve_hungarian([[1.0, np.nan], [0.0, 1.0]])
@@ -159,7 +169,7 @@ class TestMagnitude:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             single = solve_hungarian(matrix)
-            batched = solve_batch([matrix, matrix])[0]  # two, so the lockstep kernel runs
+            batched = solve_batch([matrix] * LOCKSTEP)[0]  # enough for the lockstep kernel
         assert_optimal_to_resolution(matrix, single.permutation)
         assert single.total_cost == matrix[np.arange(3), single.permutation].sum()
         assert np.array_equal(batched.permutation, single.permutation)
@@ -194,7 +204,7 @@ class TestMagnitude:
         matrix = np.array([[-1e308, 0, 1], [-1.7e308, 1.7e308, -1e308], [1, 9e307, 1.7e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = [solve_hungarian(matrix), solve_batch([matrix, matrix])[0]]
+            results = [solve_hungarian(matrix), solve_batch([matrix] * LOCKSTEP)[0]]
         for result in results:
             assert result.permutation.tolist() == [0, 2, 1]
             assert result.total_cost == -1.1e308
@@ -387,6 +397,48 @@ class TestBatch:
         with pytest.raises(EmptyInputError):
             solve_batch([np.eye(2), np.empty((0, 0))])
 
+    @pytest.mark.parametrize("b", [2, LOCKSTEP])
+    def test_zero_stack_is_identity(self, b):
+        results = solve_batch(np.zeros((b, 4, 4)))
+        assert [r.permutation.tolist() for r in results] == [[0, 1, 2, 3]] * b
+
+    def test_uncontested_stack_runs_no_round(self, monkeypatch):
+        rounds = []
+        original = assignment._lockstep_search
+
+        def spy(entries, act, *state):
+            rounds.append(act.tolist())
+            return original(entries, act, *state)
+
+        monkeypatch.setattr(assignment, "_lockstep_search", spy)
+        # Template matrices with their columns shuffled: every row's minimum
+        # sits in a column of its own, so the greedy start matches them all.
+        rng = np.random.default_rng(36)
+        planted = np.array([rng.permutation(20) for _ in range(64)])
+        columns = np.argsort(planted)[:, None, :]
+        stack = np.take_along_axis(planted_stack(rng, 20, [0.0] * 64), columns, axis=-1)
+        results = solve_batch(stack)
+        assert [r.iterations for r in results] == [0] * 64
+        assert np.array_equal([r.permutation for r in results], planted)
+        assert rounds == []
+        # Only a matrix with rows left free enters the lockstep rounds.
+        solve_batch(lone_uniform_stack())
+        assert rounds == [[40]]
+
+    def test_small_groups_take_the_loop(self, monkeypatch):
+        stacks = []
+        original = assignment._lockstep_assignment
+
+        def spy(entries):
+            stacks.append(entries.shape[0])
+            return original(entries)
+
+        monkeypatch.setattr(assignment, "_lockstep_assignment", spy)
+        rng = np.random.default_rng(37)
+        matrices = [rng.uniform(-30, 30, (c, c)) for c in [5] * (LOCKSTEP - 1) + [6] * LOCKSTEP]
+        assert_same_as_single(matrices, solve_batch(matrices))
+        assert stacks == [LOCKSTEP]
+
     def test_wrapped_default_solver_stays_batched(self, monkeypatch):
         # A caller that wraps the module's solve_hungarian (as a tracer does)
         # and passes the wrapper gets the lockstep path, not per-matrix calls.
@@ -454,8 +506,12 @@ def lone_uniform_stack():
 @given(stack=matrix_stacks())
 @example(stack=lone_uniform_stack())
 @example(stack=np.random.default_rng(33).uniform(-30.0, 30.0, (5, 1, 1)))
+@example(stack=np.random.default_rng(34).integers(0, 3, (12, 40, 40)).astype(np.float64))
+@example(stack=np.random.default_rng(35).integers(0, 3, (8, 100, 100)).astype(np.float64))
 def test_batch_equals_single(stack):
-    results = solve_batch(stack)
+    # Every stack of two or more goes through the lockstep kernel here.
+    with mock.patch.object(assignment, "_LOCKSTEP_MIN_BATCH", 2):
+        results = solve_batch(stack)
     assert_same_as_single(stack, results)
     scipy_opt = pytest.importorskip("scipy.optimize")
     for matrix, got in zip(stack, results):
@@ -465,9 +521,11 @@ def test_batch_equals_single(stack):
 
 
 # sha256 over (permutation, iterations, total_cost) of `solve_hungarian` on
-# `golden_matrices()`, recorded from the augmenting-path loop that allocated
-# fresh work arrays on every Dijkstra step.
-GOLDEN_DIGEST = "e3402e11715cc1a81cee05d57181dc5df0c6df1989361ed00b0c39217412df5c"
+# `golden_matrices()`, recorded once the kernels started from the greedy
+# tight-edge matching. That start moved the adjustment counts of four
+# matrices and the tied optimal permutations of six {0, 1, 2} matrices;
+# every total_cost stayed the same.
+GOLDEN_DIGEST = "c818ca25c43d3efb3c3cee4017b6f32420b6b211726096441b09ebe35e31f63c"
 
 
 def golden_matrices():
