@@ -41,9 +41,10 @@ BRUTEFORCE_GUARD = 11
 PERMUTATION_COUNT_MAX = 25
 
 # solve_batch sends a size group of fewer matrices than this to the scalar
-# loop: below it, lockstep took 1.25-2.2x the loop's time at C = 5 to 100, and
-# at 8 it took 0.83-1.02x (uniform stacks, 2 vCPUs).
-_LOCKSTEP_MIN_BATCH = 8
+# loop. Against the loop at C = 5 to 100 (2 vCPUs), lockstep took 0.94-1.24x
+# at 8 and 0.70-0.98x at 12 on planted-template stacks, and 0.66-1.02x at 8
+# and 0.71-0.82x at 12 on uniform ones.
+_LOCKSTEP_MIN_BATCH = 12
 
 # Permutation tables are cached up to this size (8! rows, ~5 MB). Brute force
 # at larger C scores the tails of each lexicographic head against this table.
@@ -157,10 +158,7 @@ def _scaled(entries: np.ndarray) -> np.ndarray:
     is unchanged, while the dual updates can no longer overflow on finite
     entries near the float64 limit.
     """
-    # max|c| from the largest and smallest entry, without an |entries| copy.
-    high = entries.max(axis=(-2, -1), keepdims=True)
-    low = entries.min(axis=(-2, -1), keepdims=True)
-    _, exponent = np.frexp(np.maximum(high, -low))
+    _, exponent = np.frexp(np.abs(entries).max(axis=(-2, -1), keepdims=True))
     return np.ldexp(entries, -exponent)
 
 
@@ -177,12 +175,7 @@ def _greedy_start(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     n = entries.shape[-1]
     first = entries.argmin(axis=-1)
     u = np.take_along_axis(entries, first[..., None], axis=-1)[..., 0]
-    if entries.ndim == 2:  # one (C, C) difference: a row loop is 8-16x slower on one matrix
-        v = (entries - u[:, None]).min(axis=0)
-    else:  # a row of every matrix at a time into one (B, C) buffer, no (B, C, C) temporary
-        v = entries[..., 0, :] - u[..., :1]
-        for i in range(1, n):
-            np.minimum(v, entries[..., i, :] - u[..., i : i + 1], out=v)
+    v = (entries - u[..., None]).min(axis=-2)
     # Row i of matrix b claims flat column b*C + first. minimum.at applies
     # every claim, so each column ends with its lowest claimant (n if none).
     rows = np.arange(first.size)
@@ -212,9 +205,14 @@ def solve_hungarian(matrix) -> AssignmentResult:
     """
     entries = _validated_entries(matrix)
     start = time.perf_counter_ns()
+    mapping, cost, adjustments = _solve_one(entries)
+    return AssignmentResult(mapping, cost, adjustments, time.perf_counter_ns() - start)
+
+
+def _solve_one(entries: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Permutation, matched cost and adjustment count of one validated matrix."""
     mapping, adjustments = _augmenting_path_assignment(_scaled(entries))
-    elapsed = time.perf_counter_ns() - start
-    return AssignmentResult(mapping, _matched_cost(entries, mapping), adjustments, elapsed)
+    return mapping, _matched_cost(entries, mapping), adjustments
 
 
 def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
@@ -556,11 +554,10 @@ def solve_batch(
         start = time.perf_counter_ns()
         if len(members) < _LOCKSTEP_MIN_BATCH:
             # One matrix at a time, as solve_hungarian does: stacking and the
-            # batched cost sum made a group of 2 take 1.07-1.10x as long.
-            solved = [_augmenting_path_assignment(_scaled(entries[k])) for k in members]
+            # batched cost sum made a group of 2 take 1.03-1.09x as long.
+            solved = [_solve_one(entries[k]) for k in members]
             share = (time.perf_counter_ns() - start) // len(members)
-            for k, (mapping, rounds) in zip(members, solved):
-                cost = _matched_cost(entries[k], mapping)
+            for k, (mapping, cost, rounds) in zip(members, solved):
                 results[k] = AssignmentResult(mapping, cost, rounds, share)
             continue
         stack = np.stack([entries[k] for k in members])
