@@ -5,9 +5,10 @@ solver (`solve_hungarian`), an exhaustive O(C!) enumeration kept as a
 ground-truth oracle for small C (`solve_bruteforce`), and an O(k*C^2)
 entropic approximation (`solve_sinkhorn`). All three take a square cost
 matrix and return the chosen row-to-column permutation together with its
-summed cost and solver telemetry. `solve_batch` runs the augmenting-path
-solver on a whole stack of equal-size matrices in lockstep, and on small
-stacks one matrix at a time.
+summed cost and solver telemetry. Every exact solve, one matrix from
+`solve_hungarian` or a size group from `solve_batch`, runs through one
+path (`_solve_stack`): scale, greedy start, search of the free rows (one
+matrix at a time, or a large stack in lockstep), one matched-cost sum.
 
 Matrix files (`load_matrix`) must be UTF-8, as plain text or JSON; bytes
 that do not decode raise MatrixParseError with their line.
@@ -40,8 +41,8 @@ BRUTEFORCE_GUARD = 11
 #: Largest C that permutation_count reports.
 PERMUTATION_COUNT_MAX = 25
 
-# solve_batch sends a size group of fewer matrices than this to the scalar
-# loop. Against the loop at C = 5 to 100 (2 vCPUs), lockstep took 0.94-1.24x
+# _solve_stack searches a stack of fewer matrices than this one matrix at a
+# time. Against the loop at C = 5 to 100 (2 vCPUs), lockstep took 0.94-1.24x
 # at 8 and 0.70-0.98x at 12 on planted-template stacks, and 0.66-1.02x at 8
 # and 0.71-0.82x at 12 on uniform ones.
 _LOCKSTEP_MIN_BATCH = 12
@@ -77,8 +78,9 @@ class AssignmentResult:
     `permutation[i]` is the column assigned to row i. `iterations` is
     solver-specific telemetry: cost-adjustment rounds for the polynomial
     solver, permutations evaluated for the exhaustive one, balancing rounds
-    for the approximate one. `elapsed_ns` is wall-clock solve time; results
-    of a lockstep `solve_batch` carry an amortised share of their batch's.
+    for the approximate one. `elapsed_ns` is wall-clock solve time, the
+    matched-cost sum included; results of `solve_batch` carry an amortised
+    share of their size group's.
     """
 
     permutation: np.ndarray
@@ -132,23 +134,27 @@ def _validated_entries(matrix) -> np.ndarray:
     return entries
 
 
-def _matched_cost(entries: np.ndarray, mapping: np.ndarray) -> float:
-    # One shared summation order so costs from different solvers compare
-    # bit-stably whenever they pick the same permutation.
-    matched = entries[np.arange(entries.shape[0]), mapping]
+def _matched_cost(stack: np.ndarray, mappings: np.ndarray) -> list[float]:
+    # Each matrix's cost under its mapping, in one shared summation order, so
+    # costs from every solver and route compare bit-stably whenever they pick
+    # the same permutation.
+    batch, n = mappings.shape
+    matched = stack.reshape(-1)[np.arange(0, stack.size, n) + mappings.ravel()].reshape(batch, n)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf gives nan
-        cost = float(matched.sum())
-    if math.isfinite(cost):
-        return cost
-    # A partial sum overflowed; the exact sum, taken on a copy scaled by a
-    # power of two, may still fit.
-    _, exponent = np.frexp(np.abs(matched).max())
-    try:
-        return math.ldexp(math.fsum(np.ldexp(matched, -exponent)), int(exponent))
-    except OverflowError:
-        raise InvalidInputError(
-            f"matched cost {cost} overflows float64; rescale the cost matrix"
-        ) from None
+        costs = matched.sum(axis=-1).tolist()
+    for b, cost in enumerate(costs):
+        if math.isfinite(cost):
+            continue
+        # A partial sum overflowed; the exact sum, taken on a copy scaled by
+        # a power of two, may still fit.
+        _, exponent = np.frexp(np.abs(matched[b]).max())
+        try:
+            costs[b] = math.ldexp(math.fsum(np.ldexp(matched[b], -exponent)), int(exponent))
+        except OverflowError:
+            raise InvalidInputError(
+                f"matched cost {cost} overflows float64; rescale the cost matrix"
+            ) from None
+    return costs
 
 
 def _scaled(entries: np.ndarray) -> np.ndarray:
@@ -174,17 +180,19 @@ def _greedy_start(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     n = entries.shape[-1]
     first = entries.argmin(axis=-1)
-    u = np.take_along_axis(entries, first[..., None], axis=-1)[..., 0]
+    # Flat gathers, not np.take_along_axis: a third less start time at C = 5.
+    rows = np.arange(first.size)
+    u = entries.reshape(-1)[rows * n + first.ravel()].reshape(first.shape)
     v = (entries - u[..., None]).min(axis=-2)
     # Row i of matrix b claims flat column b*C + first. minimum.at applies
     # every claim, so each column ends with its lowest claimant (n if none).
-    rows = np.arange(first.size)
+    row = rows % n
+    claim = first.ravel() + rows - row
     match = np.full(first.size, n, dtype=np.intp)
-    np.minimum.at(match, first.ravel() + rows - rows % n, rows % n)
-    match = match.reshape(first.shape)
-    free = np.take_along_axis(match, first, axis=-1) != np.arange(n)  # lost its claim
+    np.minimum.at(match, claim, row)
+    free = (match[claim] != row).reshape(first.shape)  # lost its claim
     match[match == n] = -1
-    return u, v, match, free
+    return u, v, match.reshape(first.shape), free
 
 
 def solve_hungarian(matrix) -> AssignmentResult:
@@ -197,7 +205,8 @@ def solve_hungarian(matrix) -> AssignmentResult:
     matched, in index order, each through a shortest augmenting path.
     `iterations` counts the rounds in which the duals actually move (the
     cost-adjustment rounds), so a matrix whose row minima already sit in
-    distinct columns runs no search and reports 0.
+    distinct columns runs no search and reports 0. The matrix is solved as
+    a stack of one, on the path every `solve_batch` group takes.
 
     When several permutations tie for the optimum the returned one is
     deterministic, but only `total_cost` is contract-stable. A matched
@@ -205,32 +214,54 @@ def solve_hungarian(matrix) -> AssignmentResult:
     """
     entries = _validated_entries(matrix)
     start = time.perf_counter_ns()
-    mapping, cost, adjustments = _solve_one(entries)
+    (mapping,), (cost,), (adjustments,) = _solve_stack(entries[None])
     return AssignmentResult(mapping, cost, adjustments, time.perf_counter_ns() - start)
 
 
-def _solve_one(entries: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Permutation, matched cost and adjustment count of one validated matrix."""
-    mapping, adjustments = _augmenting_path_assignment(_scaled(entries))
-    return mapping, _matched_cost(entries, mapping), adjustments
+def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[int]]:
+    """Permutations, matched costs and adjustment counts of a validated (B, C, C) stack.
+
+    One scaling and one greedy start, then only the free rows are searched:
+    one matrix at a time below `_LOCKSTEP_MIN_BATCH` matrices, in lockstep
+    from there. Both searches make the same comparisons and dual updates
+    per matrix, so the route changes no output.
+    """
+    entries = _scaled(stack)
+    u, v, match, free = _greedy_start(entries)
+    adjustments = np.zeros(stack.shape[0], dtype=np.int64)
+    searching = np.flatnonzero(free.any(axis=-1))
+    if stack.shape[0] < _LOCKSTEP_MIN_BATCH:
+        for b in searching.tolist():
+            adjustments[b] = _augmenting_path_search(entries[b], u[b], v[b], match[b], free[b])
+    elif searching.size:
+        match[searching], adjustments[searching] = _lockstep_search(
+            entries, searching, u[searching], v[searching], match[searching], free[searching]
+        )
+    mappings = np.argsort(match, axis=-1)
+    return mappings, _matched_cost(stack, mappings), adjustments.tolist()
 
 
-def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
+def _augmenting_path_search(
+    entries: np.ndarray, u: np.ndarray, v: np.ndarray, match: np.ndarray, free: np.ndarray
+) -> int:
+    """Search one matrix's `free` rows in index order, from its greedy state.
+
+    Updates `u`, `v` and `match` (column -> row) in place; returns the adjustment count.
+    """
     n = entries.shape[0]
-    u, v, match_col, free_rows = _greedy_start(entries)  # match_col: column -> matched row
     adjustments = 0
     # Work arrays, refilled per row rather than reallocated per step.
     reduced = np.empty(n)
     better = np.empty(n, dtype=bool)
     minv = np.empty(n)  # cheapest slack into each column so far; +inf once scanned
     way = np.empty(n, dtype=np.intp)  # predecessor column (-1 = root row)
-    free = np.empty(n, dtype=bool)  # column not yet scanned
+    unscanned = np.empty(n, dtype=bool)
     tree_rows = np.empty(n, dtype=np.intp)  # row i, then the rows of scanned columns
     tree_cols = np.empty(n, dtype=np.intp)  # scanned columns, in scan order
-    for i in np.flatnonzero(free_rows).tolist():
+    for i in np.flatnonzero(free).tolist():
         minv.fill(np.inf)
         way.fill(-1)
-        free.fill(True)
+        unscanned.fill(True)
         scanned = 0
         j0 = -1
         i0 = i
@@ -239,7 +270,7 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
             np.subtract(entries[i0], u.item(i0), out=reduced)
             np.subtract(reduced, v, out=reduced)
             np.less(reduced, minv, out=better)
-            np.logical_and(better, free, out=better)
+            np.logical_and(better, unscanned, out=better)
             np.putmask(minv, better, reduced)
             np.putmask(way, better, j0)
             j1 = int(minv.argmin())
@@ -252,10 +283,10 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
                 v[tree_cols[:scanned]] -= delta
                 np.subtract(minv, delta, out=minv)  # scanned columns stay +inf
             minv[j1] = np.inf
-            free[j1] = False
+            unscanned[j1] = False
             tree_cols[scanned] = j1
             scanned += 1
-            i0 = match_col[j1]
+            i0 = match[j1]
             if i0 < 0:
                 break
             j0 = j1
@@ -265,29 +296,9 @@ def _augmenting_path_assignment(entries: np.ndarray) -> tuple[np.ndarray, int]:
         j = j1
         while j != -1:
             prev = way[j]
-            match_col[j] = i if prev < 0 else match_col[prev]
+            match[j] = i if prev < 0 else match[prev]
             j = prev
-    return np.argsort(match_col), adjustments
-
-
-def _lockstep_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_augmenting_path_assignment` on a (B, C, C) stack, all B matrices at once.
-
-    Both kernels start from the same greedy tight-edge matching
-    (`_greedy_start`), so only the rows it leaves free run a search, and
-    each matrix keeps its own list of them (`_lockstep_search`). A matrix
-    with no free rows is finished by the start and never enters the
-    lockstep rounds.
-    """
-    batch = entries.shape[0]
-    u, v, match, free = _greedy_start(entries)
-    adjustments = np.zeros(batch, dtype=np.int64)
-    searching = np.flatnonzero(free.any(axis=1))
-    if searching.size:
-        match[searching], adjustments[searching] = _lockstep_search(
-            entries, searching, u[searching], v[searching], match[searching], free[searching]
-        )
-    return np.argsort(match, axis=-1), adjustments
+    return adjustments
 
 
 def _lockstep_search(
@@ -363,7 +374,7 @@ def _lockstep_search(
         used.ravel()[at] = True
         i0 = match.ravel()[at]
         done = np.flatnonzero(i0 < 0)
-        if not done.size:
+        if not done.size:  # no search ended: skip the flip and reset block
             continue
         # Flip matched edges along each finished path back to its root.
         flip, root = offset[done], row[done]
@@ -383,7 +394,7 @@ def _lockstep_search(
         minv[done] = np.inf
         used[done] = False
         in_tree[done] = False
-        if (pos[done] < stop[done]).all():
+        if (pos[done] < stop[done]).all():  # none finished its last row: skip compaction
             continue
         # Matrices past their last free row leave the working set.
         last = pos == stop
@@ -429,9 +440,8 @@ def solve_bruteforce(matrix, guard: int = BRUTEFORCE_GUARD) -> AssignmentResult:
     start = time.perf_counter_ns()
     mapping = _enumerate_best(entries)
     elapsed = time.perf_counter_ns() - start
-    return AssignmentResult(
-        mapping, _matched_cost(entries, mapping), math.factorial(size), elapsed
-    )
+    (cost,) = _matched_cost(entries[None], mapping[None])
+    return AssignmentResult(mapping, cost, math.factorial(size), elapsed)
 
 
 @functools.cache
@@ -496,9 +506,8 @@ def solve_sinkhorn(matrix, config: SinkhornConfig | None = None) -> AssignmentRe
         kernel /= np.maximum(kernel.sum(axis=0, keepdims=True), floor)
     mapping = _round_to_permutation(kernel)
     elapsed = time.perf_counter_ns() - start
-    return AssignmentResult(
-        mapping, _matched_cost(entries, mapping), config.iterations, elapsed
-    )
+    (cost,) = _matched_cost(entries[None], mapping[None])
+    return AssignmentResult(mapping, cost, config.iterations, elapsed)
 
 
 def _round_to_permutation(balanced: np.ndarray) -> np.ndarray:
@@ -527,19 +536,15 @@ def solve_batch(
     """Solve many independent matrices, preserving input order in the output.
 
     With `solve_hungarian` (the default), the matrices are validated one by
-    one in input order and grouped by size. A group of at least
-    `_LOCKSTEP_MIN_BATCH` matrices is stacked and scaled once and solved by
-    the lockstep kernel: all matrices start from the greedy tight-edge
-    matching, and each one searches only its own free rows, moving on to
-    the next as soon as its own search ends. A smaller group goes through
-    the single-matrix loop one matrix at a time, which is faster there.
-    Every result equals the one `solve_hungarian` gives for that matrix,
-    except that its `elapsed_ns` is the group's solve time divided by the
-    group's size (an amortised share, not the matrix's own time). A
-    lockstep group's matched costs are taken with one gather and one row
-    sum, which adds each row in the order a single solve does; only a sum
-    that overflows takes the single solve's exact-sum rescue. Any other
-    solver is called once per matrix.
+    one in input order and grouped by size, and each group is solved as one
+    stack on `solve_hungarian`'s path: scaled once, started from one greedy
+    tight-edge matching, then searched only on its free rows, in lockstep
+    for a group of at least `_LOCKSTEP_MIN_BATCH` matrices and one matrix
+    at a time below that, where the loop is faster. Every result equals the
+    one `solve_hungarian` gives for that matrix, except that its
+    `elapsed_ns` is the group's solve time, matched-cost sum included,
+    divided by the group's size (an amortised share, not the matrix's own
+    time). Any other solver is called once per matrix.
     """
     # The module global is looked up at call time, so a caller that replaces
     # it with a wrapper (as a tracer does) and passes that still batches.
@@ -552,22 +557,9 @@ def solve_batch(
     results: list[AssignmentResult | None] = [None] * len(entries)
     for members in groups.values():
         start = time.perf_counter_ns()
-        if len(members) < _LOCKSTEP_MIN_BATCH:
-            # One matrix at a time, as solve_hungarian does: stacking and the
-            # batched cost sum made a group of 2 take 1.03-1.09x as long.
-            solved = [_solve_one(entries[k]) for k in members]
-            share = (time.perf_counter_ns() - start) // len(members)
-            for k, (mapping, cost, rounds) in zip(members, solved):
-                results[k] = AssignmentResult(mapping, cost, rounds, share)
-            continue
-        stack = np.stack([entries[k] for k in members])
-        mappings, adjustments = _lockstep_assignment(_scaled(stack))
+        solved = _solve_stack(np.stack([entries[k] for k in members]))
         share = (time.perf_counter_ns() - start) // len(members)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf gives nan
-            costs = np.take_along_axis(stack, mappings[..., None], axis=-1)[..., 0].sum(axis=-1)
-        for k, mapping, cost, rounds in zip(members, mappings, costs.tolist(), adjustments.tolist()):
-            if not math.isfinite(cost):
-                cost = _matched_cost(entries[k], mapping)
+        for k, mapping, cost, rounds in zip(members, *solved):
             results[k] = AssignmentResult(mapping, cost, rounds, share)
     return results
 
@@ -654,9 +646,14 @@ def _parse_tokens(lines: list[str], size: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def matrix_to_json(matrix) -> str:
+def _matrix_payload(matrix) -> dict:
+    """The JSON matrix form as a dict: `size` C and the C rows of `entries`."""
     entries = _validated_entries(matrix)
-    return json.dumps({"size": entries.shape[0], "entries": entries.tolist()})
+    return {"size": entries.shape[0], "entries": entries.tolist()}
+
+
+def matrix_to_json(matrix) -> str:
+    return json.dumps(_matrix_payload(matrix))
 
 
 def matrix_from_json(text: str) -> CostMatrix:
@@ -670,11 +667,12 @@ def matrix_from_json(text: str) -> CostMatrix:
         raise MatrixParseError("invalid JSON: arrays or objects nest too deeply") from None
     if not isinstance(payload, dict) or "size" not in payload or "entries" not in payload:
         raise MatrixParseError('JSON matrix needs "size" and "entries" fields')
+    size = payload["size"]
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise MatrixParseError(f'"size" must be an integer, got {json.dumps(size)}')
     matrix = CostMatrix(payload["entries"])
-    if matrix.size != payload["size"]:
-        raise InvalidInputError(
-            f"declared size {payload['size']} does not match entries ({matrix.size})"
-        )
+    if matrix.size != size:
+        raise InvalidInputError(f"declared size {size} does not match entries ({matrix.size})")
     return matrix
 
 

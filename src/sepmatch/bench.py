@@ -22,6 +22,7 @@ from .assignment import (
     BRUTEFORCE_GUARD,
     CostMatrix,
     _check_guard,
+    _matrix_payload,
     solve_batch,
     solve_bruteforce,
     solve_hungarian,
@@ -84,7 +85,7 @@ class ConfusionExport:
 
     def to_dict(self) -> dict:
         return {
-            "matrix": {"size": self.matrix.size, "entries": self.matrix.entries.tolist()},
+            "matrix": _matrix_payload(self.matrix),
             "row_order": [int(r) for r in self.row_order],
             "col_order": [int(c) for c in self.col_order],
         }
@@ -96,6 +97,9 @@ class ConfusionExport:
         """Binary P5 rendering; the smallest cost maps to black."""
         entries = self.matrix.entries
         lo, hi = float(entries.min()), float(entries.max())
+        if not math.isfinite(hi - lo):
+            # The span overflows float64; halving brings it in range and keeps every ratio.
+            entries, lo, hi = entries / 2.0, lo / 2.0, hi / 2.0
         if hi == lo:
             gray = np.full(entries.shape, 128, dtype=np.uint8)
         else:

@@ -26,7 +26,15 @@ import numpy as np
 
 from .assignment import CostMatrix, solve_bruteforce, solve_hungarian
 from .errors import InvalidInputError
-from .wavio import AudioSignal, _check_aligned, _check_lengths, _samples, decode_frames, frames_mean
+from .wavio import (
+    AudioSignal,
+    _check_aligned,
+    _check_lengths,
+    _check_rates,
+    _samples,
+    decode_frames,
+    frames_mean,
+)
 
 #: SI-SNR outputs are clamped to +/- this many dB so cost matrices stay finite.
 SI_SNR_CLAMP_DB = 60.0
@@ -182,10 +190,12 @@ def si_snr(target, estimate) -> float:
     its projection onto the target plus a residual, and the score is
     10*log10(projection power / (residual power + 1e-8)).
 
-    Accepts AudioSignal or raw 1-D arrays. Raises on length mismatch and on
-    a target with zero energy after mean removal; a silent estimate scores
-    the clamp floor.
+    Accepts AudioSignal or raw 1-D arrays. Raises on length mismatch, on
+    two AudioSignals of different sample rates and on a target with zero
+    energy after mean removal; a silent estimate scores the clamp floor.
     """
+    if isinstance(target, AudioSignal) and isinstance(estimate, AudioSignal):
+        _check_rates((target, estimate))
     t, e = (x.samples if isinstance(x, AudioSignal) else _samples(x) for x in (target, estimate))
     if t.size != e.size:
         raise InvalidInputError(f"length mismatch: target {t.size} vs estimate {e.size}")

@@ -64,10 +64,14 @@ def _check_aligned(signals) -> None:
     """Raise unless `signals` is non-empty and shares one sample rate and one length."""
     if not signals:
         raise EmptyInputError("no signals given")
+    _check_rates(signals)
+    _check_lengths(len(s) for s in signals)
+
+
+def _check_rates(signals) -> None:
     rates = {s.sample_rate for s in signals}
     if len(rates) > 1:
         raise InvalidInputError(f"signals disagree on sample rate: {sorted(rates)}")
-    _check_lengths(len(s) for s in signals)
 
 
 def _check_lengths(lengths) -> None:

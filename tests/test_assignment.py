@@ -210,6 +210,16 @@ class TestMagnitude:
             assert result.total_cost == -1.1e308
             assert_optimal_to_resolution(matrix, result.permutation)
 
+    def test_one_rescued_sum_in_a_lockstep_stack(self):
+        # Only matrix 5's row sum overflows, so only it takes the exact-sum rescue.
+        stack = np.random.default_rng(38).uniform(-30.0, 30.0, (LOCKSTEP, 3, 3))
+        stack[5] = [[-1e308, 0, 1], [-1.7e308, 1.7e308, -1e308], [1, 9e307, 1.7e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = solve_batch(stack)
+            assert_same_as_single(stack, results)  # total_cost bit for bit
+        assert results[5].total_cost == -1.1e308
+
     def test_overflowing_cost_raises(self):
         matrix = np.full((2, 2), 1.7e308)
         with pytest.raises(InvalidInputError, match="overflows"), np.errstate(over="ignore"):
@@ -427,13 +437,13 @@ class TestBatch:
 
     def test_small_groups_take_the_loop(self, monkeypatch):
         stacks = []
-        original = assignment._lockstep_assignment
+        original = assignment._lockstep_search
 
-        def spy(entries):
+        def spy(entries, *state):
             stacks.append(entries.shape[0])
-            return original(entries)
+            return original(entries, *state)
 
-        monkeypatch.setattr(assignment, "_lockstep_assignment", spy)
+        monkeypatch.setattr(assignment, "_lockstep_search", spy)
         rng = np.random.default_rng(37)
         matrices = [rng.uniform(-30, 30, (c, c)) for c in [5] * (LOCKSTEP - 1) + [6] * LOCKSTEP]
         assert_same_as_single(matrices, solve_batch(matrices))

@@ -624,6 +624,18 @@ class TestConfusionCli:
         assert pgm.startswith(b"P5\n3 3\n255\n")
         assert json.loads((out_dir / "confusion.json").read_text())["matrix"]["size"] == 3
 
+    def test_pgm_of_a_span_past_float64(self, capsys, tmp_path):
+        # max - min overflows; the extremes still render black and white, with
+        # no RuntimeWarning (pytest turns one into an error).
+        matrix_file = tmp_path / "wide.txt"
+        matrix_file.write_text("2\n-1.7e308 1.7e308\n0 0\n")
+        code, _, err = run(capsys, ["confusion", matrix_file, "--out-dir", tmp_path])
+        assert code == 0 and err == ""
+        # Rows and columns come out as [1, 0]: [[0, 0], [1.7e308, -1.7e308]].
+        assert (tmp_path / "confusion.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes(
+            [128, 128, 255, 0]
+        )
+
 
 @pytest.mark.parametrize("subcommand", ["solve", "confusion"])
 def test_non_utf8_matrix_exit_2_names_line(capsys, tmp_path, subcommand):
@@ -642,6 +654,16 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, subcommand):
     code, out, err = run(capsys, [subcommand, path])
     assert code == 2 and out == ""
     assert "nest too deeply" in err
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "confusion"])
+@pytest.mark.parametrize("size", ["true", "1.0", '"1"'])
+def test_json_size_not_an_integer_exit_2(capsys, tmp_path, subcommand, size):
+    path = tmp_path / "size.json"
+    path.write_text('{"size": ' + size + ', "entries": [[1.5]]}')
+    code, out, err = run(capsys, [subcommand, path])
+    assert code == 2 and out == ""
+    assert '"size" must be an integer' in err
 
 
 @st.composite

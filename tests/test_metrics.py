@@ -85,6 +85,14 @@ class TestSiSnr:
         with pytest.raises(InvalidInputError, match="length"):
             si_snr(sine(440, n=100), sine(440, n=101))
 
+    def test_sample_rate_mismatch_rejected(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(64), rng.standard_normal(64)
+        with pytest.raises(InvalidInputError, match="disagree on sample rate"):
+            si_snr(AudioSignal(x, 8000), AudioSignal(y, 16000))
+        # Raw arrays carry no rate; one raw argument skips the check.
+        assert si_snr(x, y) == si_snr(AudioSignal(x, 8000), y) == si_snr(x, AudioSignal(y, 16000))
+
     def test_zero_energy_target_rejected(self):
         flat = AudioSignal(np.full(64, 0.5), 8000)  # zero energy once mean-removed
         with pytest.raises(InvalidInputError, match="zero energy"):
