@@ -42,9 +42,21 @@ BRUTEFORCE_GUARD = 11
 PERMUTATION_COUNT_MAX = 25
 
 # _solve_stack searches a stack of fewer matrices than this one matrix at a
-# time. Against the loop at C = 5 to 100 (2 vCPUs), lockstep took 0.94-1.24x
-# at 8 and 0.70-0.98x at 12 on planted-template stacks, and 0.66-1.02x at 8
-# and 0.71-0.82x at 12 on uniform ones.
+# time. Lockstep time over loop time, median of 5 stacks per cell on 2 vCPUs
+# (planted: perfbench's template mix at difficulties 0.25, 0.5 and 1.0):
+#
+#   stacks of B =          8     10     12     16
+#   planted C = 5        1.70   1.71   1.40   1.19
+#   planted C = 20       1.34   1.11   0.93   0.90
+#   planted C = 50       1.19   1.02   0.82   0.75
+#   planted C = 100      1.17   1.03   0.86   0.76
+#   uniform C = 5        1.48   1.08   1.12   0.79
+#   uniform C = 20       0.93   0.79   0.70   0.55
+#   uniform C = 50       0.86   0.69   0.67   0.56
+#   uniform C = 100      0.87   0.72   0.69   0.58
+#
+# 12 is the smallest B at which lockstep wins every cell with C >= 20. At
+# C = 5 its rounds cost more than the loop's few short searches.
 _LOCKSTEP_MIN_BATCH = 12
 
 # Permutation tables are cached up to this size (8! rows, ~5 MB). Brute force
@@ -124,7 +136,12 @@ def _validated_entries(matrix) -> np.ndarray:
         raise InvalidInputError(f"cost matrix is not numeric: {exc}") from exc
     if entries.ndim != 2:
         raise InvalidInputError(f"cost matrix must be 2-D, got {entries.ndim}-D")
-    rows, cols = entries.shape
+    return _checked_square(entries)
+
+
+def _checked_square(entries: np.ndarray) -> np.ndarray:
+    """`entries`, once its trailing C x C matrices are checked non-empty, square and finite."""
+    rows, cols = entries.shape[-2:]
     if rows == 0:
         raise EmptyInputError("cost matrix is empty (size 0)")
     if rows != cols:
@@ -224,7 +241,8 @@ def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[int]]
     One scaling and one greedy start, then only the free rows are searched:
     one matrix at a time below `_LOCKSTEP_MIN_BATCH` matrices, in lockstep
     from there. Both searches make the same comparisons and dual updates
-    per matrix, so the route changes no output.
+    per matrix and leave every matrix's final duals in `u` and `v`, so the
+    route changes no output.
     """
     entries = _scaled(stack)
     u, v, match, free = _greedy_start(entries)
@@ -234,9 +252,7 @@ def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[int]]
         for b in searching.tolist():
             adjustments[b] = _augmenting_path_search(entries[b], u[b], v[b], match[b], free[b])
     elif searching.size:
-        match[searching], adjustments[searching] = _lockstep_search(
-            entries, searching, u[searching], v[searching], match[searching], free[searching]
-        )
+        adjustments[searching] = _lockstep_search(entries, searching, u, v, match, free)
     mappings = np.argsort(match, axis=-1)
     return mappings, _matched_cost(stack, mappings), adjustments.tolist()
 
@@ -308,51 +324,65 @@ def _lockstep_search(
     v: np.ndarray,
     match: np.ndarray,
     free: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Search the free rows of matrices `entries[act]` in lockstep, from a greedy start.
 
     `u`, `v`, `match` (column -> row) and `free` (rows left to search) are
-    (k, C) arrays of the k matrices in `act`. Each matrix walks its own free
-    rows in index order. Every round advances each of the matrices with
-    rows left by one Dijkstra step of its current row's search, using
-    (k, C) array operations. A matrix whose path reaches a free column flips
-    that path, resets its search state and starts its next free row in the
-    following round; after its last one it leaves the working set. So a
-    stack takes as many rounds as its slowest matrix takes steps in all, at
-    most C rows of C steps each. Per matrix, each comparison and dual update
-    is the one the single-matrix loop makes, so the permutations and
-    adjustment counts are the same. Returns the final (k, C) matchings and
-    the k adjustment counts.
+    the (B, C) arrays of the whole stack. Each matrix walks its own free
+    rows in index order. Every round advances each matrix of the working
+    set by one Dijkstra step of its current row's search, using (k, C)
+    array operations. A matrix whose path reaches a free column flips that
+    path with one write and starts its next free row in the following
+    round. After its last one it idles in place: its dual shifts are held
+    at 0, so its duals, matching and adjustment count stay final, while it
+    runs a search that never ends, since every column is matched. The
+    working set is compacted, and each idle matrix's results written back,
+    once half of it idles, or before its oldest idle matrix could scan
+    every column and meet an all-infinite slack row. Each search scans at
+    most C columns, so a stack takes at most C times the largest number of
+    free rows of any of its matrices rounds. Per matrix, each comparison
+    and dual update is the one the single-matrix loop makes, so `u`, `v`
+    and `match` end as that loop leaves them. Returns the adjustment
+    counts of the matrices in `act`.
     """
     batch, n, _ = entries.shape
     k = act.size
     rows_of = entries.reshape(batch * n, n)  # row i of matrix b is rows_of[b * C + i]
-    final_match = np.empty((k, n), dtype=np.intp)
     adjustments = np.empty(k, dtype=np.int64)
     # Per-matrix (k, C) state is indexed through its flattened view: entry
     # (r, j) sits at offset[r] + j.
     offsets = np.arange(k) * n
-    # State of the working set, compressed as matrices leave it.
+    # The working set: matrix r is act[slot[r]].
     slot, base, offset = np.arange(k), act * n, offsets
     # The free rows of each matrix in index order, matrix after matrix;
-    # matrix r walks queue[pos[r]:stop[r]]. The trailing 0 is read past the
-    # last matrix's last row and never searched.
-    counts = free.sum(axis=1)
-    queue = np.append(np.nonzero(free)[1], 0)
+    # matrix r is matching row queue[pos[r]] of queue[pos[r]:stop[r]]. The
+    # trailing 0 is read past the last matrix's last row, by a matrix that
+    # idles.
+    counts = free[act].sum(axis=1)
+    queue = np.append(np.nonzero(free[act])[1], 0)
     stop = np.cumsum(counts)
     pos = stop - counts
+    limit = n * int(counts.max())
     adj = np.zeros(k, dtype=np.int64)
-    row = queue[pos]  # the row each search is matching
+    # Working copies; each matrix's results go back to the stack's arrays.
+    stack_u, stack_v, stack_match = u, v, match
+    u, v, match = u[act], v[act], match[act]
     minv = np.full((k, n), np.inf)
-    # The first step of a search finds every column better than +inf, so
-    # `pred` is fully rewritten before a flip reads it and needs no reset.
+    # The flat position of the column each search scanned last, -1 at its
+    # root row. `pred` holds it for every column whose slack that scan
+    # lowered. The first step of a search finds every column better than
+    # +inf, so `pred` is fully rewritten before a flip reads it.
+    last = np.full(k, -1, dtype=np.intp)
     pred = np.empty((k, n), dtype=np.intp)
     used = np.zeros((k, n), dtype=bool)
     in_tree = np.zeros((k, n), dtype=bool)  # rows whose duals move with delta
-    j1 = np.full(k, -1, dtype=np.intp)
-    i0 = row.copy()
-    for _ in range(n * n):
-        j0 = j1
+    # 1.0, or 0.0 once a matrix idles: its shifts are then 0, so its duals
+    # and adjustment count stay final until it leaves the working set.
+    live = np.ones(k)
+    idle = 0  # matrices past their last free row, still in the working set
+    deadline = limit  # the round by which the oldest idle matrix must leave
+    i0 = queue[pos]
+    for rnd in range(limit):
         at = offset + i0
         in_tree.ravel()[at] = True
         reduced = rows_of.take(base + i0, axis=0)  # one gather: 2x faster than entries[act, i0]
@@ -360,10 +390,10 @@ def _lockstep_search(
         reduced -= v
         better = ~used & (reduced < minv)
         minv = np.where(better, reduced, minv)
-        pred = np.where(better, j0[:, None], pred)
-        j1 = minv.argmin(axis=1)
-        at = offset + j1
+        pred = np.where(better, last[:, None], pred)
+        at = offset + minv.argmin(axis=1)
         delta = minv.ravel()[at]
+        delta *= live
         adj += delta > 0.0
         step = delta[:, None]
         # Adding 0 where the loop skips the update changes at most a zero's sign.
@@ -373,46 +403,61 @@ def _lockstep_search(
         minv.ravel()[at] = np.inf
         used.ravel()[at] = True
         i0 = match.ravel()[at]
+        last = at
         done = np.flatnonzero(i0 < 0)
-        if not done.size:  # no search ended: skip the flip and reset block
+        if done.size:
+            # Flip each finished path back to its root: every column on it
+            # takes the row that last lowered its slack, its predecessor's
+            # row before the flip (or the root), all in one write.
+            flat_pred, flat_match = pred.ravel(), match.ravel()
+            path, rows = [], []
+            at_pos = pos[done]
+            for j, root in zip(at[done].tolist(), queue[at_pos].tolist()):
+                while j >= 0:
+                    prev = flat_pred.item(j)
+                    path.append(j)
+                    rows.append(root if prev < 0 else flat_match.item(prev))
+                    j = prev
+            flat_match[path] = rows
+            # Start each finished search's next free row.
+            at_pos += 1
+            pos[done] = at_pos
+            i0[done] = queue[at_pos]
+            last[done] = -1
+            minv[done] = np.inf
+            used[done] = False
+            in_tree[done] = False
+            finished = done[at_pos == stop[done]]
+            if finished.size:
+                live[finished] = 0.0
+                if not idle:
+                    # An idle search scans one column a round, and after C
+                    # no finite slack is left: it leaves after C - 1.
+                    deadline = rnd + n - 1
+                idle += finished.size
+        if not idle or (2 * idle < k and rnd < deadline):  # idling is cheaper than compacting
             continue
-        # Flip matched edges along each finished path back to its root.
-        flip, root = offset[done], row[done]
-        at = at[done]
-        flat_pred, flat_match = pred.ravel(), match.ravel()
-        while at.size:
-            prev = flat_pred[at]
-            came_from = flip + prev
-            flat_match[at] = np.where(prev < 0, root, flat_match[came_from])
-            walking = prev >= 0
-            at, flip, root = came_from[walking], flip[walking], root[walking]
-        # Start each finished search's next free row.
-        pos[done] += 1
-        row[done] = queue[pos[done]]
-        i0[done] = row[done]
-        j1[done] = -1
-        minv[done] = np.inf
-        used[done] = False
-        in_tree[done] = False
-        if (pos[done] < stop[done]).all():  # none finished its last row: skip compaction
-            continue
-        # Matrices past their last free row leave the working set.
-        last = pos == stop
-        final_match[slot[last]] = match[last]
-        adjustments[slot[last]] = adj[last]
-        keep = np.flatnonzero(~last)
-        if not keep.size:
+        # The idle matrices hand back their results and leave the working set.
+        gone = pos == stop
+        into = act[slot[gone]]
+        stack_match[into], stack_u[into], stack_v[into] = match[gone], u[gone], v[gone]
+        adjustments[slot[gone]] = adj[gone]
+        if idle == k:
             break
-        slot, base, pos, stop, row, i0, j1, adj = (
-            index[keep] for index in (slot, base, pos, stop, row, i0, j1, adj)
+        keep = np.flatnonzero(~gone)
+        moved = offsets[: keep.size] - offsets[keep]  # flat positions move with their matrix
+        slot, base, pos, stop, i0, adj, last, live = (
+            index[keep] for index in (slot, base, pos, stop, i0, adj, last, live)
         )
+        last += np.where(last < 0, 0, moved)
         u, v, match, minv, pred, used, in_tree = (
             state.take(keep, axis=0) for state in (u, v, match, minv, pred, used, in_tree)
         )
-        offset = offsets[: slot.size]
+        pred += np.where(pred < 0, 0, moved[:, None])
+        k, offset, idle = keep.size, offsets[: keep.size], 0
     else:
-        raise RuntimeError(f"lockstep solve of C = {n} did not finish within {n * n} rounds")
-    return final_match, adjustments
+        raise RuntimeError(f"lockstep solve of C = {n} did not finish within {limit} rounds")
+    return adjustments
 
 
 def _check_guard(guard: int) -> None:
@@ -535,9 +580,11 @@ def solve_batch(
 ) -> list[AssignmentResult]:
     """Solve many independent matrices, preserving input order in the output.
 
-    With `solve_hungarian` (the default), the matrices are validated one by
-    one in input order and grouped by size, and each group is solved as one
-    stack on `solve_hungarian`'s path: scaled once, started from one greedy
+    With `solve_hungarian` (the default), a (B, C, C) ndarray of numbers is
+    validated once as a whole, raising what the first bad matrix would, and
+    solved as one stack. Other input is validated one matrix at a time in
+    input order and grouped by size. Each stack is solved on
+    `solve_hungarian`'s path: scaled once, started from one greedy
     tight-edge matching, then searched only on its free rows, in lockstep
     for a group of at least `_LOCKSTEP_MIN_BATCH` matrices and one matrix
     at a time below that, where the loop is faster. Every result equals the
@@ -550,18 +597,29 @@ def solve_batch(
     # it with a wrapper (as a tracer does) and passes that still batches.
     if solver is not solve_hungarian:
         return [solver(m) for m in matrices]
+    if isinstance(matrices, np.ndarray) and matrices.ndim == 3 and matrices.dtype.kind in "biuf":
+        # Its matrices share one shape and convert to float64 without fail,
+        # so one check of the stack raises what the first bad matrix would.
+        if not len(matrices):
+            return []
+        return _stack_results(_checked_square(np.asarray(matrices, dtype=np.float64)))
     entries = [_validated_entries(m) for m in matrices]
     groups: dict[int, list[int]] = {}
     for k, e in enumerate(entries):
         groups.setdefault(e.shape[0], []).append(k)
     results: list[AssignmentResult | None] = [None] * len(entries)
     for members in groups.values():
-        start = time.perf_counter_ns()
-        solved = _solve_stack(np.stack([entries[k] for k in members]))
-        share = (time.perf_counter_ns() - start) // len(members)
-        for k, mapping, cost, rounds in zip(members, *solved):
-            results[k] = AssignmentResult(mapping, cost, rounds, share)
+        for k, result in zip(members, _stack_results(np.stack([entries[k] for k in members]))):
+            results[k] = result
     return results
+
+
+def _stack_results(stack: np.ndarray) -> list[AssignmentResult]:
+    """The results of a validated (B, C, C) stack, each with a 1/B share of its solve time."""
+    start = time.perf_counter_ns()
+    solved = _solve_stack(stack)
+    share = (time.perf_counter_ns() - start) // len(stack)
+    return [AssignmentResult(*result, share) for result in zip(*solved)]
 
 
 # --- serialization -----------------------------------------------------------

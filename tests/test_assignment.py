@@ -371,6 +371,12 @@ class TestPermutationCount:
             permutation_count(-1)
 
 
+def nan_in_matrix(k):
+    stack = np.zeros((LOCKSTEP, 3, 3))
+    stack[k, 1, 0] = np.nan
+    return stack
+
+
 class TestBatch:
     def test_preserves_order(self):
         rng = np.random.default_rng(3)
@@ -412,15 +418,7 @@ class TestBatch:
         results = solve_batch(np.zeros((b, 4, 4)))
         assert [r.permutation.tolist() for r in results] == [[0, 1, 2, 3]] * b
 
-    def test_uncontested_stack_runs_no_round(self, monkeypatch):
-        rounds = []
-        original = assignment._lockstep_search
-
-        def spy(entries, act, *state):
-            rounds.append(act.tolist())
-            return original(entries, act, *state)
-
-        monkeypatch.setattr(assignment, "_lockstep_search", spy)
+    def test_uncontested_stack_runs_no_round(self, lockstep_calls):
         # Template matrices with their columns shuffled: every row's minimum
         # sits in a column of its own, so the greedy start matches them all.
         rng = np.random.default_rng(36)
@@ -430,24 +428,48 @@ class TestBatch:
         results = solve_batch(stack)
         assert [r.iterations for r in results] == [0] * 64
         assert np.array_equal([r.permutation for r in results], planted)
-        assert rounds == []
+        assert lockstep_calls == []
         # Only a matrix with rows left free enters the lockstep rounds.
         solve_batch(lone_uniform_stack())
-        assert rounds == [[40]]
+        assert lockstep_calls == [(64, [40])]
 
-    def test_small_groups_take_the_loop(self, monkeypatch):
-        stacks = []
-        original = assignment._lockstep_search
-
-        def spy(entries, *state):
-            stacks.append(entries.shape[0])
-            return original(entries, *state)
-
-        monkeypatch.setattr(assignment, "_lockstep_search", spy)
+    def test_small_groups_take_the_loop(self, lockstep_calls):
         rng = np.random.default_rng(37)
         matrices = [rng.uniform(-30, 30, (c, c)) for c in [5] * (LOCKSTEP - 1) + [6] * LOCKSTEP]
         assert_same_as_single(matrices, solve_batch(matrices))
-        assert stacks == [LOCKSTEP]
+        assert [stack for stack, _ in lockstep_calls] == [LOCKSTEP]
+
+    def test_stack_equals_list(self):
+        # A numeric (B, C, C) array is validated once and solved as one stack,
+        # with the results its matrices give one by one in a list.
+        rng = np.random.default_rng(38)
+        floats = planted_stack(rng, 7, rng.uniform(0.0, 1.0, LOCKSTEP + 3))
+        ints = rng.integers(0, 3, (LOCKSTEP, 5, 5))
+        for stack in (floats, ints, floats.transpose(0, 2, 1), floats[:3]):
+            from_stack, from_list = solve_batch(stack), solve_batch(list(stack))
+            assert len(from_stack) == len(from_list) == len(stack)
+            for got, want in zip(from_stack, from_list):
+                assert np.array_equal(got.permutation, want.permutation)
+                assert got.total_cost == want.total_cost
+                assert got.iterations == want.iterations
+        assert solve_batch(np.empty((0, 3, 3))) == solve_batch(np.empty((0, 0, 0))) == []
+
+    @pytest.mark.parametrize(
+        "stack, error",
+        [
+            (nan_in_matrix(2), InvalidInputError),
+            (np.empty((LOCKSTEP, 0, 0)), EmptyInputError),
+            (np.ones((LOCKSTEP, 2, 3)), InvalidInputError),
+        ],
+        ids=["nan_in_third", "empty", "not_square"],
+    )
+    def test_stack_errors_equal_list_errors(self, stack, error):
+        raised = []
+        for matrices in (stack, list(stack)):
+            with pytest.raises(error) as info:
+                solve_batch(matrices)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
     def test_wrapped_default_solver_stays_batched(self, monkeypatch):
         # A caller that wraps the module's solve_hungarian (as a tracer does)
@@ -464,6 +486,20 @@ class TestBatch:
         results = assignment.solve_batch(matrices, solver=assignment.solve_hungarian)
         assert calls == []
         assert [r.total_cost for r in results] == [0.0, 0.0]
+
+
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """(B, act) of every `_lockstep_search` call made while the test runs."""
+    calls = []
+    original = assignment._lockstep_search
+
+    def spy(entries, act, *state):
+        calls.append((entries.shape[0], act.tolist()))
+        return original(entries, act, *state)
+
+    monkeypatch.setattr(assignment, "_lockstep_search", spy)
+    return calls
 
 
 def assert_same_as_single(matrices, results):
@@ -512,9 +548,65 @@ def lone_uniform_stack():
     return stack
 
 
+def early_idle_stack():
+    """A C = 3 matrix that finishes in the first round, then 11 that take 5.
+
+    It idles alone, so only the bound on its idle rounds, not the share of
+    the set that idles, can compact it before it scans every column."""
+    early = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 0.0], [2.0, 1.0, 2.0]])
+    return np.concatenate([early[None], np.zeros((LOCKSTEP - 1, 3, 3))])
+
+
+def spread_uniform_stack():
+    """`lone_uniform_stack()` and three uniform C = 20 matrices.
+
+    The four search for 10, 37, 54 and 57 rounds, so the first idles past
+    C rounds while three still search."""
+    uniform = [np.random.default_rng(seed).uniform(-30.0, 30.0, (1, 20, 20)) for seed in (44, 46, 33)]
+    return np.concatenate([lone_uniform_stack(), *uniform])
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_small_c_stacks(c, lockstep_calls):
+    stack = np.random.default_rng(39 + c).integers(0, 3, (4 * LOCKSTEP, c, c)).astype(np.float64)
+    assert_same_as_single(stack, solve_batch(stack))
+    # Every row of a 1 x 1 matrix is matched by the greedy start.
+    assert len(lockstep_calls) == (c > 1)
+
+
+@pytest.mark.parametrize("make", [early_idle_stack, spread_uniform_stack])
+def test_idle_matrix_leaves_before_scanning_every_column(make, lockstep_calls):
+    # An idle matrix left in the set past C rounds meets an all-infinite
+    # slack row, and pyproject turns the RuntimeWarning into a failure.
+    stack = make()
+    assert_same_as_single(stack, solve_batch(stack))
+    assert len(lockstep_calls) == 1
+
+
+def test_lockstep_hands_back_the_loops_duals():
+    # Each matrix's final duals, matching and adjustment count, as the
+    # one-matrix search leaves them, whenever it finishes.
+    rng = np.random.default_rng(40)
+    for stack in (spread_uniform_stack(), early_idle_stack(), rng.integers(0, 3, (30, 9, 9))):
+        entries = assignment._scaled(stack.astype(np.float64))
+        u, v, match, free = assignment._greedy_start(entries)
+        searching = np.flatnonzero(free.any(axis=-1))
+        loop = [u.copy(), v.copy(), match.copy()]
+        counts = [
+            assignment._augmenting_path_search(entries[b], *(a[b] for a in loop), free[b])
+            for b in searching.tolist()
+        ]
+        lockstep = [u.copy(), v.copy(), match.copy()]
+        assert assignment._lockstep_search(entries, searching, *lockstep, free).tolist() == counts
+        for want, got in zip(loop, lockstep):
+            assert np.array_equal(want, got)
+
+
 @settings(max_examples=60, deadline=None)
 @given(stack=matrix_stacks())
 @example(stack=lone_uniform_stack())
+@example(stack=early_idle_stack())
+@example(stack=spread_uniform_stack())
 @example(stack=np.random.default_rng(33).uniform(-30.0, 30.0, (5, 1, 1)))
 @example(stack=np.random.default_rng(34).integers(0, 3, (12, 40, 40)).astype(np.float64))
 @example(stack=np.random.default_rng(35).integers(0, 3, (8, 100, 100)).astype(np.float64))
