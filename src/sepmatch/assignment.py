@@ -8,7 +8,8 @@ matrix and return the chosen row-to-column permutation together with its
 summed cost and solver telemetry. Every exact solve, one matrix from
 `solve_hungarian` or a size group from `solve_batch`, runs through one
 path (`_solve_stack`): scale, greedy start, search of the free rows (one
-matrix at a time, or a large stack in lockstep), one matched-cost sum.
+matrix at a time, or a large stack in lockstep). Every solver ends in one
+builder (`_results`), which takes the matched-cost sum and stops the clock.
 
 Matrix files (`load_matrix`) must be UTF-8, as plain text or JSON; bytes
 that do not decode raise MatrixParseError with their line.
@@ -91,8 +92,8 @@ class AssignmentResult:
     solver-specific telemetry: cost-adjustment rounds for the polynomial
     solver, permutations evaluated for the exhaustive one, balancing rounds
     for the approximate one. `elapsed_ns` is wall-clock solve time, the
-    matched-cost sum included; results of `solve_batch` carry an amortised
-    share of their size group's.
+    matched-cost sum included for every solver; results of `solve_batch`
+    carry an amortised share of their size group's.
     """
 
     permutation: np.ndarray
@@ -174,6 +175,13 @@ def _matched_cost(stack: np.ndarray, mappings: np.ndarray) -> list[float]:
     return costs
 
 
+def _results(stack: np.ndarray, mappings: np.ndarray, iterations, start) -> list[AssignmentResult]:
+    """Each matrix's result, with a 1/B share of the time from `start` to the end of its cost sum."""
+    costs = _matched_cost(stack, mappings)
+    share = (time.perf_counter_ns() - start) // len(stack)
+    return [AssignmentResult(*result, share) for result in zip(mappings, costs, iterations)]
+
+
 def _scaled(entries: np.ndarray) -> np.ndarray:
     """Each trailing C x C matrix times the power of two that puts max|c| in [0.5, 1).
 
@@ -229,20 +237,24 @@ def solve_hungarian(matrix) -> AssignmentResult:
     deterministic, but only `total_cost` is contract-stable. A matched
     cost that overflows float64 raises InvalidInputError.
     """
-    entries = _validated_entries(matrix)
+    return _stack_results(_validated_entries(matrix)[None])[0]
+
+
+def _stack_results(stack: np.ndarray) -> list[AssignmentResult]:
+    """The results of a validated (B, C, C) stack, each with a 1/B share of its solve time."""
     start = time.perf_counter_ns()
-    (mapping,), (cost,), (adjustments,) = _solve_stack(entries[None])
-    return AssignmentResult(mapping, cost, adjustments, time.perf_counter_ns() - start)
+    return _results(stack, *_solve_stack(stack), start)
 
 
-def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[int]]:
-    """Permutations, matched costs and adjustment counts of a validated (B, C, C) stack.
+def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Permutations and adjustment counts of a validated (B, C, C) stack.
 
     One scaling and one greedy start, then only the free rows are searched:
     one matrix at a time below `_LOCKSTEP_MIN_BATCH` matrices, in lockstep
     from there. Both searches make the same comparisons and dual updates
-    per matrix and leave every matrix's final duals in `u` and `v`, so the
-    route changes no output.
+    per matrix and leave its final duals, matching and adjustment count in
+    the stack's arrays `u`, `v`, `match` and `adjustments`, so the route
+    changes no output and every per-matrix outcome is read out here.
     """
     entries = _scaled(stack)
     u, v, match, free = _greedy_start(entries)
@@ -252,9 +264,8 @@ def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[int]]
         for b in searching.tolist():
             adjustments[b] = _augmenting_path_search(entries[b], u[b], v[b], match[b], free[b])
     elif searching.size:
-        adjustments[searching] = _lockstep_search(entries, searching, u, v, match, free)
-    mappings = np.argsort(match, axis=-1)
-    return mappings, _matched_cost(stack, mappings), adjustments.tolist()
+        _lockstep_search(entries, searching, u, v, match, free, adjustments)
+    return np.argsort(match, axis=-1), adjustments.tolist()
 
 
 def _augmenting_path_search(
@@ -324,36 +335,36 @@ def _lockstep_search(
     v: np.ndarray,
     match: np.ndarray,
     free: np.ndarray,
-) -> np.ndarray:
+    adjustments: np.ndarray,
+) -> None:
     """Search the free rows of matrices `entries[act]` in lockstep, from a greedy start.
 
     `u`, `v`, `match` (column -> row) and `free` (rows left to search) are
-    the (B, C) arrays of the whole stack. Each matrix walks its own free
-    rows in index order. Every round advances each matrix of the working
-    set by one Dijkstra step of its current row's search, using (k, C)
-    array operations. A matrix whose path reaches a free column flips that
-    path with one write and starts its next free row in the following
-    round. After its last one it idles in place: its dual shifts are held
-    at 0, so its duals, matching and adjustment count stay final, while it
-    runs a search that never ends, since every column is matched. The
-    working set is compacted, and each idle matrix's results written back,
-    once half of it idles, or before its oldest idle matrix could scan
-    every column and meet an all-infinite slack row. Each search scans at
-    most C columns, so a stack takes at most C times the largest number of
-    free rows of any of its matrices rounds. Per matrix, each comparison
-    and dual update is the one the single-matrix loop makes, so `u`, `v`
-    and `match` end as that loop leaves them. Returns the adjustment
-    counts of the matrices in `act`.
+    the (B, C) arrays of the whole stack, and `adjustments` its (B,) array
+    of adjustment counts. Each matrix walks its own free rows in index
+    order. Every round advances each matrix of the working set by one
+    Dijkstra step of its current row's search, using (k, C) array
+    operations. A matrix whose path reaches a free column flips that path
+    with one write and starts its next free row in the following round.
+    After its last one it idles in place: its dual shifts are held at 0, so
+    its duals, matching and adjustment count stay final, while it runs a
+    search that never ends, since every column is matched. The working set
+    is compacted, and each idle matrix's u, v, match and count written to
+    the stack's arrays, once half of it idles, or before its oldest idle
+    matrix could scan every column and meet an all-infinite slack row. Each
+    search scans at most C columns, so a stack takes at most C times the
+    largest number of free rows of any of its matrices rounds. Per matrix,
+    each comparison and dual update is the one the single-matrix loop makes,
+    so `u`, `v`, `match` and `adjustments` end as that loop leaves them.
     """
     batch, n, _ = entries.shape
     k = act.size
     rows_of = entries.reshape(batch * n, n)  # row i of matrix b is rows_of[b * C + i]
-    adjustments = np.empty(k, dtype=np.int64)
     # Per-matrix (k, C) state is indexed through its flattened view: entry
     # (r, j) sits at offset[r] + j.
-    offsets = np.arange(k) * n
-    # The working set: matrix r is act[slot[r]].
-    slot, base, offset = np.arange(k), act * n, offsets
+    offset = np.arange(k) * n
+    # The working set: matrix r is stack matrix act[r].
+    base = act * n
     # The free rows of each matrix in index order, matrix after matrix;
     # matrix r is matching row queue[pos[r]] of queue[pos[r]:stop[r]]. The
     # trailing 0 is read past the last matrix's last row, by a matrix that
@@ -380,7 +391,7 @@ def _lockstep_search(
     # and adjustment count stay final until it leaves the working set.
     live = np.ones(k)
     idle = 0  # matrices past their last free row, still in the working set
-    deadline = limit  # the round by which the oldest idle matrix must leave
+    deadline = 0  # the round by which the oldest idle matrix must leave, once one idles
     i0 = queue[pos]
     for rnd in range(limit):
         at = offset + i0
@@ -439,25 +450,23 @@ def _lockstep_search(
             continue
         # The idle matrices hand back their results and leave the working set.
         gone = pos == stop
-        into = act[slot[gone]]
+        into = act[gone]
         stack_match[into], stack_u[into], stack_v[into] = match[gone], u[gone], v[gone]
-        adjustments[slot[gone]] = adj[gone]
+        adjustments[into] = adj[gone]
         if idle == k:
-            break
+            return
         keep = np.flatnonzero(~gone)
-        moved = offsets[: keep.size] - offsets[keep]  # flat positions move with their matrix
-        slot, base, pos, stop, i0, adj, last, live = (
-            index[keep] for index in (slot, base, pos, stop, i0, adj, last, live)
+        moved = offset[: keep.size] - offset[keep]  # flat positions move with their matrix
+        act, base, pos, stop, i0, adj, last, live = (
+            index[keep] for index in (act, base, pos, stop, i0, adj, last, live)
         )
         last += np.where(last < 0, 0, moved)
         u, v, match, minv, pred, used, in_tree = (
             state.take(keep, axis=0) for state in (u, v, match, minv, pred, used, in_tree)
         )
         pred += np.where(pred < 0, 0, moved[:, None])
-        k, offset, idle = keep.size, offsets[: keep.size], 0
-    else:
-        raise RuntimeError(f"lockstep solve of C = {n} did not finish within {limit} rounds")
-    return adjustments
+        k, offset, idle = keep.size, offset[: keep.size], 0
+    raise RuntimeError(f"lockstep solve of C = {n} did not finish within {limit} rounds")
 
 
 def _check_guard(guard: int) -> None:
@@ -483,10 +492,7 @@ def solve_bruteforce(matrix, guard: int = BRUTEFORCE_GUARD) -> AssignmentResult:
             f"raise the guard explicitly to force the O(C!) solve"
         )
     start = time.perf_counter_ns()
-    mapping = _enumerate_best(entries)
-    elapsed = time.perf_counter_ns() - start
-    (cost,) = _matched_cost(entries[None], mapping[None])
-    return AssignmentResult(mapping, cost, math.factorial(size), elapsed)
+    return _results(entries[None], _enumerate_best(entries)[None], [math.factorial(size)], start)[0]
 
 
 @functools.cache
@@ -549,10 +555,7 @@ def solve_sinkhorn(matrix, config: SinkhornConfig | None = None) -> AssignmentRe
     for _ in range(config.iterations):
         kernel /= np.maximum(kernel.sum(axis=1, keepdims=True), floor)
         kernel /= np.maximum(kernel.sum(axis=0, keepdims=True), floor)
-    mapping = _round_to_permutation(kernel)
-    elapsed = time.perf_counter_ns() - start
-    (cost,) = _matched_cost(entries[None], mapping[None])
-    return AssignmentResult(mapping, cost, config.iterations, elapsed)
+    return _results(entries[None], _round_to_permutation(kernel)[None], [config.iterations], start)[0]
 
 
 def _round_to_permutation(balanced: np.ndarray) -> np.ndarray:
@@ -612,14 +615,6 @@ def solve_batch(
         for k, result in zip(members, _stack_results(np.stack([entries[k] for k in members]))):
             results[k] = result
     return results
-
-
-def _stack_results(stack: np.ndarray) -> list[AssignmentResult]:
-    """The results of a validated (B, C, C) stack, each with a 1/B share of its solve time."""
-    start = time.perf_counter_ns()
-    solved = _solve_stack(stack)
-    share = (time.perf_counter_ns() - start) // len(stack)
-    return [AssignmentResult(*result, share) for result in zip(*solved)]
 
 
 # --- serialization -----------------------------------------------------------

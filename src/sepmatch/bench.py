@@ -236,10 +236,15 @@ def reports_to_jsonl(reports) -> str:
 def reports_to_csv(reports, header: str = CSV_HEADER) -> str:
     """`header`, then one report dataclass per row in field order, CRLF-ended; `None` is empty.
 
-    `CSV_HEADER` heads `BenchReport` rows and `PROFILE_CSV_HEADER` `ProfilePoint` rows.
+    `CSV_HEADER` heads `BenchReport` rows and `PROFILE_CSV_HEADER` `ProfilePoint` rows;
+    a report whose field count differs from the header's raises InvalidInputError.
     """
+    columns = header.split(",")
+    rows = [astuple(r) for r in reports]
+    if any(len(row) != len(columns) for row in rows):
+        raise InvalidInputError(f"reports do not fit the {len(columns)}-column header {header!r}")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header.split(","))
-    writer.writerows(astuple(r) for r in reports)
+    writer.writerow(columns)
+    writer.writerows(rows)
     return buf.getvalue()

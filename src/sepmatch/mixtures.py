@@ -249,9 +249,8 @@ def _weighted_sum(gains: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
     exactly.
     """
     out = np.multiply(rows[0], gains[0])
-    term = np.empty_like(out)
     for gain, row in zip(gains[1:], rows[1:]):
-        out += np.multiply(row, gain, out=term)
+        out += gain * row
     return out
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -488,6 +489,23 @@ class TestBatch:
         assert [r.total_cost for r in results] == [0.0, 0.0]
 
 
+def test_elapsed_covers_the_matched_cost_sum(monkeypatch):
+    # Every solver's clock stops after the matched-cost sum, so a sum made
+    # 20 ms slower shows in every elapsed_ns, each batch group being one matrix.
+    matched_cost = assignment._matched_cost
+
+    def slow(*args):
+        costs = matched_cost(*args)
+        time.sleep(0.02)
+        return costs
+
+    monkeypatch.setattr(assignment, "_matched_cost", slow)
+    matrix = np.arange(9.0).reshape(3, 3)
+    results = [solve_hungarian(matrix), solve_bruteforce(matrix), solve_sinkhorn(matrix)]
+    results += solve_batch([matrix, np.eye(4)]) + solve_batch(matrix[None])
+    assert [r.elapsed_ns >= 20_000_000 for r in results] == [True] * 6
+
+
 @pytest.fixture
 def lockstep_calls(monkeypatch):
     """(B, act) of every `_lockstep_search` call made while the test runs."""
@@ -597,7 +615,9 @@ def test_lockstep_hands_back_the_loops_duals():
             for b in searching.tolist()
         ]
         lockstep = [u.copy(), v.copy(), match.copy()]
-        assert assignment._lockstep_search(entries, searching, *lockstep, free).tolist() == counts
+        adjustments = np.zeros(len(stack), dtype=np.int64)
+        assignment._lockstep_search(entries, searching, *lockstep, free, adjustments)
+        assert adjustments[searching].tolist() == counts
         for want, got in zip(loop, lockstep):
             assert np.array_equal(want, got)
 

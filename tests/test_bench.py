@@ -18,7 +18,7 @@ from sepmatch import (
     solve_hungarian,
     sweep_solvers,
 )
-from sepmatch.bench import CSV_HEADER
+from sepmatch.bench import CSV_HEADER, PROFILE_CSV_HEADER
 
 
 class TestSweep:
@@ -191,6 +191,15 @@ class TestReportFormats:
         assert len(lines) == 1 + len(reports)
         skipped_rows = [ln for ln in lines[1:] if ln.endswith("guard 11")]
         assert len(skipped_rows) == 1  # only the C=12 brute-force row
+
+    def test_csv_header_must_fit_rows(self):
+        profile = iteration_profile([0.0, 1.0], 4, 3)
+        with pytest.raises(InvalidInputError, match="do not fit the 8-column header"):
+            reports_to_csv(profile)
+        with pytest.raises(InvalidInputError, match="do not fit the 2-column header"):
+            reports_to_csv(sweep_solvers([4], trials=1), PROFILE_CSV_HEADER)
+        assert reports_to_csv(profile, PROFILE_CSV_HEADER).splitlines()[0] == PROFILE_CSV_HEADER
+        assert reports_to_csv([]) == CSV_HEADER + "\r\n"
 
     def test_jsonl_round_trip(self):
         reports = sweep_solvers([4], trials=2, seed=0)
